@@ -9,8 +9,9 @@
 //	novad -addr :8314 -graph twitter=data/twitter.csr -graph road=data/road.csr
 //
 // Load test — replay an engine×workload grid from N concurrent clients
-// and record latency quantiles plus the cache-hit rate to a benchdiff
-// record (`make serve-bench` commits it as BENCH_serve.json):
+// and record latency quantiles plus the cache-hit rate to a load-test
+// record (`make serve-bench` commits it as BENCH_serve.json). Any failed
+// request makes loadtest exit non-zero:
 //
 //	novad loadtest -clients 50 -rounds 4 -out BENCH_serve.json
 //
@@ -230,7 +231,7 @@ func loadtest(args []string) error {
 	workloads := fs.String("workloads", "bfs,sssp,pr", "comma-separated workload list")
 	timeoutMS := fs.Int64("timeout-ms", 120_000, "per-job timeout sent with every request")
 	minHitRate := fs.Float64("min-hit-rate", 0, "fail unless the cache-hit rate reaches this fraction (CI gates warm rounds with it)")
-	out := fs.String("out", "", "write the benchdiff record here (default stdout)")
+	out := fs.String("out", "", "write the load-test record here (default stdout)")
 	histOut := fs.String("hist-out", "", "write the latency histogram buckets as CSV (nightly artifact)")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -69,7 +69,7 @@ func (m *mailbox) exchange() (int, error) {
 				return n, errors.New("mailbox: delivery in destination past")
 			}
 			dst := msg.dst
-			e.ScheduleFuncAt(msg.when, func() { m.fired[dst]++ })
+			e.ScheduleAt(msg.when, HandlerFunc(func() { m.fired[dst]++ }))
 			n++
 		}
 		m.pending[src] = m.pending[src][:0]
@@ -85,11 +85,11 @@ func TestBarrierTickEvent(t *testing.T) {
 	engines := []*Engine{NewEngine(), NewEngine()}
 	mb := newMailbox(engines)
 	var firedAt Ticks
-	engines[0].ScheduleFuncAt(0, func() {
+	engines[0].ScheduleAt(0, HandlerFunc(func() {
 		// Send from tick 0 with exactly the minimum latency: arrival at
 		// tick 10 is the first tick outside the current window.
 		mb.send(0, mbMsg{when: lookahead, dst: 1})
-	})
+	}))
 	c, err := NewCluster(engines, lookahead, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -134,14 +134,14 @@ func TestExchangePastDeliveryError(t *testing.T) {
 		tick = func() {
 			n++
 			if n < 50 {
-				engines[i].ScheduleFunc(1, tick)
+				engines[i].Schedule(1, HandlerFunc(tick))
 			}
 		}
-		e.ScheduleFunc(0, tick)
+		e.Schedule(0, HandlerFunc(tick))
 	}
-	engines[0].ScheduleFuncAt(3, func() {
+	engines[0].ScheduleAt(3, HandlerFunc(func() {
 		mb.send(0, mbMsg{when: 1, dst: 1}) // arrival before the window even closes
-	})
+	}))
 	c, err := NewCluster(engines, 5, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -175,10 +175,10 @@ func clusterPingPong(t *testing.T, shards, workers, rounds int) ([]int, []uint64
 			n++
 			mb.send(i, mbMsg{when: engines[i].Now() + lookahead, dst: (i + 1) % shards})
 			if n < rounds {
-				engines[i].ScheduleFunc(3, tick)
+				engines[i].Schedule(3, HandlerFunc(tick))
 			}
 		}
-		engines[i].ScheduleFuncAt(Ticks(i), tick)
+		engines[i].ScheduleAt(Ticks(i), HandlerFunc(tick))
 	}
 	c, err := NewCluster(engines, lookahead, workers)
 	if err != nil {
@@ -224,8 +224,8 @@ func TestClusterBudget(t *testing.T) {
 	for _, e := range engines {
 		e := e
 		var tick func()
-		tick = func() { e.ScheduleFunc(1, tick) } // runs forever
-		e.ScheduleFuncAt(0, tick)
+		tick = func() { e.Schedule(1, HandlerFunc(tick)) } // runs forever
+		e.ScheduleAt(0, HandlerFunc(tick))
 	}
 	c, err := NewCluster(engines, 4, 1)
 	if err != nil {
@@ -238,5 +238,37 @@ func TestClusterBudget(t *testing.T) {
 	}
 	if got := c.Executed(); got < 100 {
 		t.Errorf("executed %d events before stopping, want >= budget 100", got)
+	}
+}
+
+// TestSingleEngineClusterIsSequentialKernel pins the single-engine fast
+// path: a 1-engine Cluster must run no windows and no barriers, and
+// execute exactly the events a bare Engine executes on the same tickers.
+func TestSingleEngineClusterIsSequentialKernel(t *testing.T) {
+	bare := NewEngine()
+	arm(newTickers(bare, 8, 300))
+	if err := bare.RunUntilQuiet(0); err != nil {
+		t.Fatal(err)
+	}
+
+	e := NewEngine()
+	arm(newTickers(e, 8, 300))
+	cl, err := NewCluster([]*Engine{e}, 120, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Run(0, noExchange); err != nil {
+		t.Fatal(err)
+	}
+	if cl.Windows() != 0 {
+		t.Errorf("Windows() = %d, want 0", cl.Windows())
+	}
+	if cl.BarrierSeconds() != 0 {
+		t.Errorf("BarrierSeconds() = %g, want 0", cl.BarrierSeconds())
+	}
+	if cl.Executed() != bare.Executed() || e.Now() != bare.Now() {
+		t.Errorf("cluster executed %d events to tick %d, bare engine %d to tick %d",
+			cl.Executed(), e.Now(), bare.Executed(), bare.Now())
 	}
 }
