@@ -8,23 +8,23 @@ import (
 	"nova/internal/harness"
 	"nova/internal/ligra"
 	"nova/internal/polygraph"
-	"nova/internal/ref"
 	"nova/internal/sim"
 	"nova/internal/stats"
 	"nova/program"
 )
 
 // PolyGraphBaseline runs programs on the temporal-partitioning baseline
-// accelerator model. It implements program.Runner.
+// accelerator model. It implements program.Runner. Zero fields select
+// their defaults; the JSON tags are novad's wire names.
 type PolyGraphBaseline struct {
 	// OnChipBytes is the scratchpad capacity (default 32 MiB; scaled
 	// experiments shrink it to keep Table III slice counts).
-	OnChipBytes int64
+	OnChipBytes int64 `json:"onchip_bytes,omitempty"`
 	// MemBandwidth is unified off-chip bandwidth in bytes/second
 	// (default 332.8 GB/s, the iso-bandwidth setting).
-	MemBandwidth float64
+	MemBandwidth float64 `json:"-"`
 	// ForceSlices overrides the computed slice count when positive.
-	ForceSlices int
+	ForceSlices int `json:"force_slices,omitempty"`
 }
 
 // PolyGraphReport extends the engine-agnostic stats with the temporal-
@@ -56,7 +56,13 @@ func (r *PolyGraphReport) GTEPS(g *graph.CSR) float64 {
 	return float64(g.NumEdges()) / r.Stats.SimSeconds / 1e9
 }
 
-func (b *PolyGraphBaseline) config() polygraph.Config {
+// Validate reports the first invalid option.
+func (b *PolyGraphBaseline) Validate() error {
+	_, err := b.config()
+	return err
+}
+
+func (b *PolyGraphBaseline) config() (polygraph.Config, error) {
 	cfg := polygraph.DefaultConfig()
 	if b.OnChipBytes > 0 {
 		cfg.OnChipBytes = b.OnChipBytes
@@ -65,7 +71,11 @@ func (b *PolyGraphBaseline) config() polygraph.Config {
 		cfg.MemBandwidth = b.MemBandwidth
 	}
 	cfg.ForceSlices = b.ForceSlices
-	return cfg
+	return cfg, nonNegative(
+		option{"PolyGraphBaseline.OnChipBytes", float64(b.OnChipBytes)},
+		option{"PolyGraphBaseline.MemBandwidth", b.MemBandwidth},
+		option{"PolyGraphBaseline.ForceSlices", float64(b.ForceSlices)},
+	)
 }
 
 // Run executes p on g under the PolyGraph model.
@@ -78,7 +88,11 @@ func (b *PolyGraphBaseline) Run(p program.Program, g *graph.CSR) (*PolyGraphRepo
 // round-budget exhaustion) it returns BOTH a partial report (Partial set,
 // with its StopReason) and the error.
 func (b *PolyGraphBaseline) RunContext(ctx context.Context, p program.Program, g *graph.CSR) (*PolyGraphReport, error) {
-	res, err := polygraph.Run(ctx, b.config(), g, p)
+	cfg, err := b.config()
+	if err != nil {
+		return nil, err
+	}
+	res, err := polygraph.Run(ctx, cfg, g, p)
 	if res == nil {
 		return nil, err
 	}
@@ -129,17 +143,19 @@ var _ program.Runner = (*PolyGraphBaseline)(nil)
 // switching_seconds, inefficiency_seconds, slice_count, rounds,
 // slice_passes, edge_bw_share plus traffic counters and per-slice detail
 // (slice0.passes, …). The two-phase "bc" workload reports Stats only.
-func (b *PolyGraphBaseline) Engine() harness.Engine { return pgEngine{b} }
+func (b *PolyGraphBaseline) Engine() harness.Engine {
+	cfg, _ := b.config() // an invalid b fails in RunWorkload
+	return pgEngine{*b, fingerprint("polygraph", cfg)}
+}
 
-type pgEngine struct{ b *PolyGraphBaseline }
+type pgEngine struct {
+	b  PolyGraphBaseline
+	fp string
+}
 
 func (e pgEngine) Name() string { return "polygraph" }
 
-func (e pgEngine) Fingerprint() string {
-	cfg := e.b.config()
-	return fmt.Sprintf("polygraph{onchip=%d bw=%.1f forceslices=%d}",
-		cfg.OnChipBytes, cfg.MemBandwidth, cfg.ForceSlices)
-}
+func (e pgEngine) Fingerprint() string { return e.fp }
 
 func (e pgEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harness.Report, error) {
 	if w.Name == SpillStressWorkload {
@@ -149,57 +165,29 @@ func (e pgEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harness
 		// minutes. The workload exists to stress NOVA's VMU; keep it there.
 		return nil, fmt.Errorf("nova: %q is the NOVA spill-stress workload; run it on the nova engine", w.Name)
 	}
-	prIters := w.PRIters
-	if prIters <= 0 {
-		prIters = 10
-	}
-	out := &harness.Report{
-		Engine:          e.Name(),
-		Fingerprint:     e.Fingerprint(),
-		Workload:        w.Name,
-		Tier:            w.Tier,
-		SequentialEdges: ref.SequentialEdges(w.G, w.Root, w.Name, prIters),
-	}
-	if w.Name == "bc" {
-		gT := w.GT
-		if gT == nil {
-			gT = w.G.Transpose()
+	return runAdapted(w, e.Name(), e.fp, ctxRunner{ctx, &e.b}, func(p program.Program, out *harness.Report) error {
+		rep, err := e.b.RunContext(ctx, p, w.G)
+		if rep != nil {
+			out.Props, out.Stats = rep.Props, rep.Stats
+			out.Dump, out.Metrics = rep.Dump, rep.Dump.Bag()
 		}
-		scores, stats, err := program.RunBC(ctxRunner{ctx, e.b}, w.G, gT, w.Root)
-		if err != nil {
-			reason := sim.ReasonFor(err)
-			if reason == "" {
-				return nil, err
-			}
-			out.Scores, out.Stats = scores, stats
-			out.Partial, out.StopReason = true, string(reason)
-			return out, err
-		}
-		out.Scores, out.Stats = scores, stats
-		return out, nil
-	}
-	p, err := workloadProgram(w.Name, w.Root, prIters)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := e.b.RunContext(ctx, p, w.G)
-	if rep == nil {
-		return nil, err
-	}
-	out.Props, out.Stats = rep.Props, rep.Stats
-	out.Dump = rep.Dump
-	out.Metrics = rep.Dump.Bag()
-	out.Partial, out.StopReason = rep.Partial, rep.StopReason
-	return out, err
+		return err
+	})
 }
 
 var _ harness.Engine = pgEngine{}
 
 // Software runs the Ligra-style shared-memory framework on the host and
 // reports wall-clock performance — the paper's software reference point.
+// The JSON tag is novad's wire name.
 type Software struct {
 	// Threads bounds worker goroutines (0 = all cores).
-	Threads int
+	Threads int `json:"threads,omitempty"`
+}
+
+// Validate reports the first invalid option.
+func (s *Software) Validate() error {
+	return nonNegative(option{"Software.Threads", float64(s.Threads)})
 }
 
 // SoftwareReport is the outcome of one software run.
@@ -249,6 +237,9 @@ func (s *Software) RunWorkload(name string, g, gT *graph.CSR, root graph.VertexI
 // kernel checks ctx between edgeMap iterations and, when cancelled,
 // returns the partial report (Partial set) alongside the context error.
 func (s *Software) RunWorkloadContext(ctx context.Context, name string, g, gT *graph.CSR, root graph.VertexID, prIters int) (*SoftwareReport, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	e := s.engine()
 	intr := sim.NewInterrupt()
 	e.Interrupt = intr
@@ -307,60 +298,43 @@ func (s *Software) RunWorkloadContext(ctx context.Context, name string, g, gT *g
 // direction profile and frontier-size distribution. Distance outputs
 // (bfs/sssp/cc) convert to Props with -1 mapping to program.Inf;
 // PageRank ranks and BC scores land in Scores.
-func (s *Software) Engine() harness.Engine { return ligraEngine{s} }
+func (s *Software) Engine() harness.Engine { return ligraEngine{*s, fingerprint("ligra", *s)} }
 
-type ligraEngine struct{ s *Software }
+type ligraEngine struct {
+	s  Software
+	fp string
+}
 
 func (e ligraEngine) Name() string { return "ligra" }
 
-func (e ligraEngine) Fingerprint() string {
-	return fmt.Sprintf("ligra{threads=%d}", e.s.Threads)
-}
+func (e ligraEngine) Fingerprint() string { return e.fp }
 
 func (e ligraEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harness.Report, error) {
-	prIters := w.PRIters
-	if prIters <= 0 {
-		prIters = 10
-	}
-	gT := w.GT
-	if gT == nil {
-		gT = w.G.Transpose()
-	}
-	rep, err := e.s.RunWorkloadContext(ctx, w.Name, w.G, gT, w.Root, prIters)
-	if rep == nil {
-		return nil, err
-	}
-	out := &harness.Report{
-		Engine:          e.Name(),
-		Fingerprint:     e.Fingerprint(),
-		Workload:        w.Name,
-		Tier:            w.Tier,
-		SequentialEdges: ref.SequentialEdges(w.G, w.Root, w.Name, prIters),
-		Stats: program.RunStats{
-			SimSeconds:     rep.Seconds,
-			EdgesTraversed: rep.EdgesTraversed,
-		},
-		Metrics: rep.Dump.Bag(),
-		Dump:    rep.Dump,
-	}
-	if rep.Dists != nil {
-		out.Props = make([]program.Prop, len(rep.Dists))
-		for i, d := range rep.Dists {
-			if d < 0 {
-				out.Props[i] = program.Inf
-			} else {
-				out.Props[i] = program.Prop(d)
+	return runAdapted(w, e.Name(), e.fp, nil, func(_ program.Program, out *harness.Report) error {
+		rep, err := e.s.RunWorkloadContext(ctx, w.Name, w.G, transposeOf(w), w.Root, w.PRIters)
+		if rep == nil {
+			return err
+		}
+		out.Stats = program.RunStats{SimSeconds: rep.Seconds, EdgesTraversed: rep.EdgesTraversed}
+		out.Dump, out.Metrics = rep.Dump, rep.Dump.Bag()
+		if rep.Dists != nil {
+			out.Props = make([]program.Prop, len(rep.Dists))
+			for i, d := range rep.Dists {
+				if d < 0 {
+					out.Props[i] = program.Inf
+				} else {
+					out.Props[i] = program.Prop(d)
+				}
 			}
 		}
-	}
-	switch {
-	case rep.Ranks != nil:
-		out.Scores = rep.Ranks
-	case rep.Scores != nil:
-		out.Scores = rep.Scores
-	}
-	out.Partial, out.StopReason = rep.Partial, rep.StopReason
-	return out, err
+		switch {
+		case rep.Ranks != nil:
+			out.Scores = rep.Ranks
+		case rep.Scores != nil:
+			out.Scores = rep.Scores
+		}
+		return err
+	})
 }
 
 var _ harness.Engine = ligraEngine{}

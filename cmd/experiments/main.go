@@ -26,7 +26,6 @@ import (
 
 	"nova/internal/exp"
 	"nova/internal/harness"
-	"nova/internal/network"
 	"nova/internal/prof"
 )
 
@@ -44,21 +43,6 @@ func main() {
 	profFlags := prof.RegisterFlags()
 	flag.Parse()
 	defer profFlags.Start()()
-	// Validate the fabric flags before any dataset is built: an unknown
-	// topology or an inconsistent coalescing setting must fail instantly,
-	// not after minutes of graph generation.
-	if _, err := network.ParseTopoKind(*topology); err != nil {
-		fatal(err)
-	}
-	if *coalesceWindow < 0 {
-		fatal(fmt.Errorf("-coalesce-window %d is negative", *coalesceWindow))
-	}
-	if *coalesceCap < 0 {
-		fatal(fmt.Errorf("-coalesce-cap %d is negative", *coalesceCap))
-	}
-	if *coalesceCap > 0 && *coalesceWindow == 0 {
-		fatal(fmt.Errorf("-coalesce-cap %d has no effect without -coalesce-window", *coalesceCap))
-	}
 	exp.Shards = *shards
 	exp.Topology = *topology
 	exp.CoalesceWindow = *coalesceWindow
@@ -72,6 +56,12 @@ func main() {
 	}
 	scale, err := exp.ParseScale(*scaleFlag)
 	if err != nil {
+		fatal(err)
+	}
+	// Validate the fabric flags before any dataset is built: an unknown
+	// topology or an inconsistent coalescing setting must fail instantly,
+	// not after minutes of graph generation.
+	if _, err := exp.NovaEngine(scale, 1); err != nil {
 		fatal(err)
 	}
 	ids := exp.IDs()

@@ -34,7 +34,6 @@ import (
 	"nova/graph"
 	"nova/internal/exp"
 	"nova/internal/harness"
-	"nova/internal/network"
 	"nova/internal/prof"
 	"nova/internal/stats"
 	"nova/program"
@@ -81,16 +80,29 @@ func main() {
 
 	engines := splitList(*engine, []string{"nova", "polygraph", "ligra", "extmem"})
 	workloads := splitList(*workload, nova.WorkloadNames)
-	// Reject inconsistent fabric knobs before touching any dataset: graph
-	// construction at the larger scales is the expensive part of a run,
-	// and a bad flag combination should fail in milliseconds, not minutes.
-	check(validateFabricFlags(engines, *fabric, *topology, *coalesceWindow, *coalesceCap))
-	oc := oocFlags{outOfCore: *outOfCore, ssdPreset: *ssdPreset, ssdResidentPages: *ssdResidentPages,
-		extmemRAM: *extmemRAM, extmemPartEdges: *extmemPartEdges}
-	check(validateOOCFlags(engines, oc))
-
 	scale, err := exp.ParseScale(*scaleFlag)
 	check(err)
+	// Validate every knob before touching any dataset: graph construction
+	// at the larger scales is the expensive part of a run, and a bad flag
+	// combination should fail in milliseconds, not minutes.
+	cfg := exp.NOVAConfig(scale, *gpns)
+	cfg.Mapping = *mapping
+	cfg.Spill = *spill
+	cfg.Fabric = *fabric
+	cfg.Topology = *topology
+	cfg.CoalesceWindow = *coalesceWindow
+	cfg.CoalesceCapacity = *coalesceCap
+	cfg.OutOfCore = *outOfCore
+	cfg.SSDResidentPages = *ssdResidentPages
+	if *outOfCore {
+		cfg.SSDPreset = *ssdPreset // -ssd also picks the extmem device
+	}
+	acc, err := nova.New(cfg)
+	check(err)
+	em := &nova.ExternalMemory{RAMBytes: *extmemRAM, PartitionEdges: *extmemPartEdges, SSDPreset: *ssdPreset}
+	check(em.Validate())
+	check(checkIgnoredFlags(engines, cfg, em))
+
 	var d *exp.Dataset
 	if *graphFile != "" {
 		var loaded *graph.CSR
@@ -121,8 +133,7 @@ func main() {
 	// -stats-out routes through the sweep path even for a single cell, so
 	// every cell's dump lands in one merged, engine.workload-prefixed file.
 	if len(engines)*len(workloads) > 1 || *statsOut != "" {
-		fc := fabricFlags{fabric: *fabric, topology: *topology, coalesceWindow: *coalesceWindow, coalesceCap: *coalesceCap}
-		runSweep(ctx, scale, d, engines, workloads, *gpns, *mapping, *spill, fc, oc, *prIters, *jobsN, *timeout, *statsOut)
+		runSweep(ctx, scale, d, engines, workloads, acc, em, *prIters, *jobsN, *timeout, *statsOut)
 		return
 	}
 
@@ -143,16 +154,6 @@ func main() {
 
 	switch *engine {
 	case "nova":
-		cfg := exp.NOVAConfig(scale, *gpns)
-		cfg.Mapping = *mapping
-		cfg.Spill = *spill
-		cfg.Fabric = *fabric
-		cfg.Topology = *topology
-		cfg.CoalesceWindow = *coalesceWindow
-		cfg.CoalesceCapacity = *coalesceCap
-		oc.apply(&cfg)
-		acc, err := nova.New(cfg)
-		check(err)
 		if *tracePath != "" {
 			if p := singleProgram(*workload, d, *prIters); p != nil {
 				f, err := os.Create(*tracePath)
@@ -195,7 +196,6 @@ func main() {
 		printOutcome(out)
 		exitPartial(out)
 	case "extmem":
-		em := oc.extmem()
 		out, err := nova.RunWorkloadContext(ctx, em, *workload, g, gT, d.Root, *prIters)
 		checkPartial(out, err)
 		if p := singleProgram(*workload, d, *prIters); p != nil && !out.Partial {
@@ -306,55 +306,10 @@ func splitList(v string, all []string) []string {
 	return parts
 }
 
-// fabricFlags bundles the interconnect knobs threaded into nova cells.
-type fabricFlags struct {
-	fabric         string
-	topology       string
-	coalesceWindow int64
-	coalesceCap    int
-}
-
-// oocFlags bundles the out-of-core knobs: the nova engine's SSD tier and
-// the extmem baseline's partition-cache geometry.
-type oocFlags struct {
-	outOfCore        bool
-	ssdPreset        string
-	ssdResidentPages int
-	extmemRAM        int64
-	extmemPartEdges  int64
-}
-
-// apply stamps the nova-engine out-of-core settings into cfg.
-func (oc oocFlags) apply(cfg *nova.Config) {
-	cfg.OutOfCore = oc.outOfCore
-	if oc.outOfCore {
-		cfg.SSDPreset = oc.ssdPreset
-		cfg.SSDResidentPages = oc.ssdResidentPages
-	}
-}
-
-// extmem assembles the external-memory baseline from the flags.
-func (oc oocFlags) extmem() *nova.ExternalMemory {
-	return &nova.ExternalMemory{RAMBytes: oc.extmemRAM, PartitionEdges: oc.extmemPartEdges, SSDPreset: oc.ssdPreset}
-}
-
-// validateOOCFlags rejects out-of-core knobs that the selected engines
-// would silently ignore, before any dataset is built.
-func validateOOCFlags(engines []string, oc oocFlags) error {
-	switch oc.ssdPreset {
-	case "", "nvme", "sata":
-	default:
-		return fmt.Errorf("-ssd %q: the SSD presets are nvme and sata", oc.ssdPreset)
-	}
-	if oc.ssdResidentPages > 0 && !oc.outOfCore {
-		return fmt.Errorf("-ssd-resident-pages sizes the out-of-core resident window; add -out-of-core")
-	}
-	if oc.ssdResidentPages < 0 {
-		return fmt.Errorf("-ssd-resident-pages %d: the window is a page count and cannot be negative", oc.ssdResidentPages)
-	}
-	if oc.extmemRAM < 0 || oc.extmemPartEdges < 0 {
-		return fmt.Errorf("-extmem-ram/-extmem-part-edges cannot be negative")
-	}
+// checkIgnoredFlags rejects engine knobs that no selected engine reads,
+// so a sweep never silently runs without them. The knobs' own validity
+// is checked by nova.New and ExternalMemory.Validate.
+func checkIgnoredFlags(engines []string, cfg nova.Config, em *nova.ExternalMemory) error {
 	has := func(name string) bool {
 		for _, e := range engines {
 			if e == name {
@@ -363,13 +318,15 @@ func validateOOCFlags(engines []string, oc oocFlags) error {
 		}
 		return false
 	}
-	if (oc.outOfCore || oc.ssdResidentPages > 0) && !has("nova") {
+	onNova, onExtmem := has("nova"), has("extmem")
+	switch {
+	case !onNova && ((cfg.Topology != "" && cfg.Topology != "crossbar") || cfg.CoalesceWindow > 0):
+		return fmt.Errorf("-topology/-coalesce-window apply to the nova engine only; engines %v would silently ignore them (add nova to -engine)", engines)
+	case !onNova && cfg.OutOfCore:
 		return fmt.Errorf("-out-of-core applies to the nova engine only; engines %v would silently ignore it (add nova to -engine)", engines)
-	}
-	if (oc.extmemRAM > 0 || oc.extmemPartEdges > 0) && !has("extmem") {
+	case !onExtmem && (em.RAMBytes > 0 || em.PartitionEdges > 0):
 		return fmt.Errorf("-extmem-ram/-extmem-part-edges apply to the extmem engine only; engines %v would silently ignore them (add extmem to -engine)", engines)
-	}
-	if oc.ssdPreset != "" && !oc.outOfCore && !has("extmem") {
+	case !onExtmem && !cfg.OutOfCore && em.SSDPreset != "":
 		return fmt.Errorf("-ssd picks the paging device for -out-of-core nova or the extmem engine; neither is selected")
 	}
 	return nil
@@ -411,61 +368,17 @@ func loadCSRFile(path string, partitionCache int) (*graph.CSR, error) {
 	return g, nil
 }
 
-// validateFabricFlags rejects inconsistent -fabric/-topology/-coalesce-*
-// combinations before any dataset is built. The topology and coalescing
-// stage live in the nova engine's hierarchical fabric, so they are
-// meaningless on the ideal fabric and on the baseline engines.
-func validateFabricFlags(engines []string, fabric, topology string, window int64, capacity int) error {
-	if _, err := network.ParseTopoKind(topology); err != nil {
-		return err
-	}
-	if window < 0 {
-		return fmt.Errorf("-coalesce-window %d: the window is a cycle count and cannot be negative", window)
-	}
-	if capacity < 0 {
-		return fmt.Errorf("-coalesce-cap %d: the buffer capacity cannot be negative", capacity)
-	}
-	if capacity > 0 && window == 0 {
-		return fmt.Errorf("-coalesce-cap %d has no effect without -coalesce-window; set a window to enable coalescing", capacity)
-	}
-	nonDefault := (topology != "" && topology != "crossbar") || window > 0
-	if !nonDefault {
-		return nil
-	}
-	if fabric == "ideal" {
-		return fmt.Errorf("-topology/-coalesce-window configure the hierarchical fabric; the ideal fabric has no inter-GPN links (drop -fabric ideal)")
-	}
-	hasNova := false
-	for _, e := range engines {
-		if e == "nova" {
-			hasNova = true
-		}
-	}
-	if !hasNova {
-		return fmt.Errorf("-topology/-coalesce-window apply to the nova engine only; engines %v would silently ignore them (add nova to -engine)", engines)
-	}
-	return nil
-}
-
-// buildEngine assembles one harness engine from the command-line knobs.
-func buildEngine(name string, scale exp.Scale, gpns int, mapping, spill string, fc fabricFlags, oc oocFlags) (harness.Engine, error) {
+// buildEngine returns the harness view of one selected engine.
+func buildEngine(name string, scale exp.Scale, acc *nova.Accelerator, em *nova.ExternalMemory) (harness.Engine, error) {
 	switch name {
 	case "nova":
-		cfg := exp.NOVAConfig(scale, gpns)
-		cfg.Mapping = mapping
-		cfg.Spill = spill
-		cfg.Fabric = fc.fabric
-		cfg.Topology = fc.topology
-		cfg.CoalesceWindow = fc.coalesceWindow
-		cfg.CoalesceCapacity = fc.coalesceCap
-		oc.apply(&cfg)
-		return exp.NovaEngineWith(cfg)
+		return acc.Engine(), nil
 	case "polygraph":
 		return exp.PGEngine(scale), nil
 	case "ligra":
 		return exp.LigraEngine(), nil
 	case "extmem":
-		return oc.extmem().Engine(), nil
+		return em.Engine(), nil
 	default:
 		return nil, fmt.Errorf("unknown engine %q", name)
 	}
@@ -476,12 +389,12 @@ func buildEngine(name string, scale exp.Scale, gpns int, mapping, spill string, 
 // cost of the sweep vs its sequential equivalent. Cancelling ctx (Ctrl-C)
 // stops running cells cooperatively; their salvaged partial reports are
 // rendered, flushed to -stats-out marked partial, and fail the process.
-func runSweep(ctx context.Context, scale exp.Scale, d *exp.Dataset, engines, workloads []string, gpns int, mapping, spill string, fc fabricFlags, oc oocFlags, prIters, jobsN int, timeout time.Duration, statsOut string) {
+func runSweep(ctx context.Context, scale exp.Scale, d *exp.Dataset, engines, workloads []string, acc *nova.Accelerator, em *nova.ExternalMemory, prIters, jobsN int, timeout time.Duration, statsOut string) {
 	fmt.Printf("graph %s: %d vertices, %d edges (avg deg %.1f)\n",
 		d.Graph.Name, d.Graph.NumVertices(), d.Graph.NumEdges(), d.Graph.AvgDegree())
 	var jobs []harness.Job[*harness.Report]
 	for _, en := range engines {
-		eng, err := buildEngine(en, scale, gpns, mapping, spill, fc, oc)
+		eng, err := buildEngine(en, scale, acc, em)
 		check(err)
 		for _, w := range workloads {
 			eng, w := eng, w

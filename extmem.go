@@ -8,8 +8,6 @@ import (
 	"nova/internal/extmem"
 	"nova/internal/harness"
 	"nova/internal/mem"
-	"nova/internal/ref"
-	"nova/internal/sim"
 	"nova/internal/stats"
 	"nova/program"
 )
@@ -20,16 +18,17 @@ import (
 // bounded partition cache. It implements program.Runner for asynchronous
 // programs (bfs, sssp, cc, prdelta); bulk-synchronous programs are
 // rejected — interval-at-a-time processing is the async trade-off the
-// NOVA spill/recovery comparison is about.
+// NOVA spill/recovery comparison is about. Zero fields select their
+// defaults; the JSON tags are novad's wire names.
 type ExternalMemory struct {
 	// RAMBytes is the DRAM partition-cache budget (default 256 MiB).
-	RAMBytes int64
+	RAMBytes int64 `json:"ram_bytes,omitempty"`
 	// PartitionEdges is the target edges per vertex interval (default 1 Mi).
-	PartitionEdges int64
+	PartitionEdges int64 `json:"partition_edges,omitempty"`
 	// SSDPreset picks the paging device: "nvme" (default) or "sata".
-	SSDPreset string
+	SSDPreset string `json:"ssd_preset,omitempty"`
 	// MaxRounds bounds the outer loop (0 = default).
-	MaxRounds int
+	MaxRounds int `json:"-"`
 }
 
 // ExternalMemoryReport extends the engine-agnostic stats with the
@@ -69,8 +68,21 @@ func (r *ExternalMemoryReport) GTEPS(g *graph.CSR) float64 {
 	return float64(g.NumEdges()) / r.Stats.SimSeconds / 1e9
 }
 
+// Validate reports the first invalid option.
+func (b *ExternalMemory) Validate() error {
+	_, err := b.config()
+	return err
+}
+
 func (b *ExternalMemory) config() (extmem.Config, error) {
 	cfg := extmem.DefaultConfig()
+	if err := nonNegative(
+		option{"ExternalMemory.RAMBytes", float64(b.RAMBytes)},
+		option{"ExternalMemory.PartitionEdges", float64(b.PartitionEdges)},
+		option{"ExternalMemory.MaxRounds", float64(b.MaxRounds)},
+	); err != nil {
+		return cfg, err
+	}
 	if b.RAMBytes > 0 {
 		cfg.RAMBytes = b.RAMBytes
 	}
@@ -154,53 +166,33 @@ var _ program.Runner = (*ExternalMemory)(nil)
 // cycles, compute_cycles, io_stall_ticks, partition_loads, bytes_paged,
 // cache_hit_rate, partitions, rounds, evictions plus per-partition detail
 // (part0.loads, …). Workloads pr and bc are bulk-synchronous and rejected.
-func (b *ExternalMemory) Engine() harness.Engine { return extmemEngine{b} }
+func (b *ExternalMemory) Engine() harness.Engine {
+	cfg, _ := b.config() // an invalid b fails in RunWorkload
+	return extmemEngine{*b, fingerprint("extmem", cfg)}
+}
 
-type extmemEngine struct{ b *ExternalMemory }
+type extmemEngine struct {
+	b  ExternalMemory
+	fp string
+}
 
 func (e extmemEngine) Name() string { return "extmem" }
 
-func (e extmemEngine) Fingerprint() string {
-	cfg, err := e.b.config()
-	if err != nil {
-		return fmt.Sprintf("extmem{invalid ssd=%s}", e.b.SSDPreset)
-	}
-	return fmt.Sprintf("extmem{ram=%d part=%d ssd=%s qd=%d}",
-		cfg.RAMBytes, cfg.PartitionEdges, orDefault(e.b.SSDPreset, "nvme"), cfg.SSD.QueueDepth)
-}
+func (e extmemEngine) Fingerprint() string { return e.fp }
 
 func (e extmemEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harness.Report, error) {
-	prIters := w.PRIters
-	if prIters <= 0 {
-		prIters = 10
-	}
 	switch w.Name {
 	case "pr", "bc":
 		return nil, fmt.Errorf("nova: workload %q is bulk-synchronous; the extmem engine runs asynchronous workloads only (bfs, sssp, cc, prdelta)", w.Name)
 	}
-	p, err := workloadProgram(w.Name, w.Root, prIters)
-	if err != nil {
-		return nil, err
-	}
-	out := &harness.Report{
-		Engine:          e.Name(),
-		Fingerprint:     e.Fingerprint(),
-		Workload:        w.Name,
-		Tier:            w.Tier,
-		SequentialEdges: ref.SequentialEdges(w.G, w.Root, w.Name, prIters),
-	}
-	rep, err := e.b.RunContext(ctx, p, w.G)
-	if rep == nil {
-		if err != nil && sim.ReasonFor(err) == "" {
-			return nil, err
+	return runAdapted(w, e.Name(), e.fp, nil, func(p program.Program, out *harness.Report) error {
+		rep, err := e.b.RunContext(ctx, p, w.G)
+		if rep != nil {
+			out.Props, out.Stats = rep.Props, rep.Stats
+			out.Dump, out.Metrics = rep.Dump, rep.Dump.Bag()
 		}
-		return nil, err
-	}
-	out.Props, out.Stats = rep.Props, rep.Stats
-	out.Dump = rep.Dump
-	out.Metrics = rep.Dump.Bag()
-	out.Partial, out.StopReason = rep.Partial, rep.StopReason
-	return out, err
+		return err
+	})
 }
 
 var _ harness.Engine = extmemEngine{}

@@ -50,56 +50,21 @@ type JobRequest struct {
 	MaxEvents uint64 `json:"max_events,omitempty"`
 	// NoCache bypasses the result cache in both directions.
 	NoCache bool `json:"no_cache,omitempty"`
-	// Nova configures the NOVA engine (ignored by the baselines).
-	Nova *NovaOptions `json:"nova,omitempty"`
-	// PolyGraph configures the PolyGraph baseline.
-	PolyGraph *PolyGraphOptions `json:"polygraph,omitempty"`
-	// Ligra configures the software baseline.
-	Ligra *LigraOptions `json:"ligra,omitempty"`
-	// Extmem configures the external-memory baseline.
-	Extmem *ExtmemOptions `json:"extmem,omitempty"`
+	// Nova, PolyGraph, Ligra and Extmem configure their engines with
+	// the engines' own option structs, whose JSON tags are the wire
+	// names; an absent or zero field keeps its engine default.
+	Nova      *nova.Config            `json:"nova,omitempty"`
+	PolyGraph *nova.PolyGraphBaseline `json:"polygraph,omitempty"`
+	Ligra     *nova.Software          `json:"ligra,omitempty"`
+	Extmem    *nova.ExternalMemory    `json:"extmem,omitempty"`
 }
 
-// NovaOptions is the JSON view of the nova.Config knobs the service
-// exposes. Zero values keep the engine defaults.
-type NovaOptions struct {
-	GPNs                int    `json:"gpns,omitempty"`
-	PEsPerGPN           int    `json:"pes_per_gpn,omitempty"`
-	CacheBytesPerPE     int    `json:"cache_bytes_per_pe,omitempty"`
-	ActiveBufferEntries int    `json:"active_buffer_entries,omitempty"`
-	Spill               string `json:"spill,omitempty"`
-	Fabric              string `json:"fabric,omitempty"`
-	Topology            string `json:"topology,omitempty"`
-	CoalesceWindow      int64  `json:"coalesce_window,omitempty"`
-	CoalesceCapacity    int    `json:"coalesce_capacity,omitempty"`
-	Mapping             string `json:"mapping,omitempty"`
-	Seed                int64  `json:"seed,omitempty"`
-	Shards              int    `json:"shards,omitempty"`
-	// OutOfCore enables the SSD-backed tier; SSDPreset ("nvme"/"sata") and
-	// SSDResidentPages size it (zero values keep the engine defaults).
-	OutOfCore        bool   `json:"out_of_core,omitempty"`
-	SSDPreset        string `json:"ssd_preset,omitempty"`
-	SSDResidentPages int    `json:"ssd_resident_pages,omitempty"`
-}
-
-// PolyGraphOptions configures the temporal-partitioning baseline.
-type PolyGraphOptions struct {
-	OnChipBytes int64 `json:"onchip_bytes,omitempty"`
-	ForceSlices int   `json:"force_slices,omitempty"`
-}
-
-// LigraOptions configures the software baseline.
-type LigraOptions struct {
-	Threads int `json:"threads,omitempty"`
-}
-
-// ExtmemOptions configures the external-memory baseline (interval-at-a-
-// time partition streaming through a DRAM cache; DESIGN.md §18).
-type ExtmemOptions struct {
-	RAMBytes       int64  `json:"ram_bytes,omitempty"`
-	PartitionEdges int64  `json:"partition_edges,omitempty"`
-	SSDPreset      string `json:"ssd_preset,omitempty"`
-}
+// NovaOptions and LigraOptions are the nova and ligra option structs
+// under the service names their callers use.
+type (
+	NovaOptions  = nova.Config
+	LigraOptions = nova.Software
+)
 
 // JobStatus is the wire-format view of a job record (GET /jobs/{id} and
 // the POST /jobs response).
@@ -305,80 +270,48 @@ func cacheKey(fingerprint string, contentHash uint32, w harness.Workload, prIter
 // swap in wrappers (e.g. a chaos fault injector around the same engine).
 type EngineBuilder func(req *JobRequest, obs *sim.Interrupt) (harness.Engine, error)
 
-// BuildEngine is the default EngineBuilder: nova requests get a full
-// nova.Config (defaults + overrides + the observer interrupt), baselines
-// get their option structs applied.
+// BuildEngine is the default EngineBuilder: each engine runs its
+// request options (the zero value when absent), and nova additionally
+// gets the observer interrupt. Invalid options fail here, before the job
+// is queued.
 func BuildEngine(req *JobRequest, obs *sim.Interrupt) (harness.Engine, error) {
 	switch req.Engine {
 	case "nova":
-		cfg := nova.DefaultConfig()
-		if o := req.Nova; o != nil {
-			if o.GPNs > 0 {
-				cfg.GPNs = o.GPNs
-			}
-			if o.PEsPerGPN > 0 {
-				cfg.PEsPerGPN = o.PEsPerGPN
-			}
-			if o.CacheBytesPerPE > 0 {
-				cfg.CacheBytesPerPE = o.CacheBytesPerPE
-			}
-			if o.ActiveBufferEntries > 0 {
-				cfg.ActiveBufferEntries = o.ActiveBufferEntries
-			}
-			if o.Spill != "" {
-				cfg.Spill = o.Spill
-			}
-			if o.Fabric != "" {
-				cfg.Fabric = o.Fabric
-			}
-			if o.Topology != "" {
-				cfg.Topology = o.Topology
-			}
-			cfg.CoalesceWindow = o.CoalesceWindow
-			cfg.CoalesceCapacity = o.CoalesceCapacity
-			if o.Mapping != "" {
-				cfg.Mapping = o.Mapping
-			}
-			if o.Seed != 0 {
-				cfg.Seed = o.Seed
-			}
-			cfg.Shards = o.Shards
-			cfg.OutOfCore = o.OutOfCore
-			if o.OutOfCore {
-				cfg.SSDPreset = o.SSDPreset
-				cfg.SSDResidentPages = o.SSDResidentPages
-			}
-		}
+		cfg := orZero(req.Nova)
 		cfg.Observer = obs
-		acc, err := nova.New(cfg)
+		acc, err := nova.New(*cfg)
 		if err != nil {
 			return nil, err
 		}
 		return acc.Engine(), nil
 	case "polygraph":
-		b := &nova.PolyGraphBaseline{}
-		if o := req.PolyGraph; o != nil {
-			b.OnChipBytes = o.OnChipBytes
-			b.ForceSlices = o.ForceSlices
-		}
-		return b.Engine(), nil
+		return baselineEngine(orZero(req.PolyGraph))
 	case "ligra":
-		s := &nova.Software{}
-		if o := req.Ligra; o != nil {
-			s.Threads = o.Threads
-		}
-		return s.Engine(), nil
+		return baselineEngine(orZero(req.Ligra))
 	case "extmem":
-		b := &nova.ExternalMemory{}
-		if o := req.Extmem; o != nil {
-			b.RAMBytes = o.RAMBytes
-			b.PartitionEdges = o.PartitionEdges
-			b.SSDPreset = o.SSDPreset
-		}
-		return b.Engine(), nil
+		return baselineEngine(orZero(req.Extmem))
 	default:
 		return nil, fmt.Errorf("service: unknown engine %q", req.Engine)
 	}
+}
+
+// orZero returns a copy of *o, or of the zero value when o is nil.
+func orZero[T any](o *T) *T {
+	var v T
+	if o != nil {
+		v = *o
+	}
+	return &v
+}
+
+func baselineEngine(b interface {
+	Validate() error
+	Engine() harness.Engine
+}) (harness.Engine, error) {
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	return b.Engine(), nil
 }
 
 // renderResult marshals the canonical result JSON for a completed (or

@@ -30,61 +30,64 @@ import (
 	"nova/program"
 )
 
-// Config selects the NOVA system organization. The zero value is not
-// valid; start from DefaultConfig.
+// Config selects the NOVA system organization. The zero value of every
+// field selects its Table II default, so Config{} is the single-GPN
+// Table II system that DefaultConfig spells out. The JSON tags are
+// novad's wire names (API.md); fields tagged "-" are not on the wire.
 type Config struct {
 	// GPNs is the number of graph processing nodes (Table II: 8 PEs,
-	// one HBM2 stack and four DDR4 channels each).
-	GPNs int
-	// PEsPerGPN overrides the per-GPN processing element count.
-	PEsPerGPN int
+	// one HBM2 stack and four DDR4 channels each; default 1).
+	GPNs int `json:"gpns,omitempty"`
+	// PEsPerGPN overrides the per-GPN processing element count (default 8).
+	PEsPerGPN int `json:"pes_per_gpn,omitempty"`
 	// CacheBytesPerPE sizes the MPU vertex cache (default 64 KiB).
-	CacheBytesPerPE int
+	CacheBytesPerPE int `json:"cache_bytes_per_pe,omitempty"`
 	// SuperblockDim sets the tracker granularity (default 128 blocks).
-	SuperblockDim int
+	SuperblockDim int `json:"-"`
 	// ActiveBufferEntries sizes the VMU FIFO (default 80).
-	ActiveBufferEntries int
+	ActiveBufferEntries int `json:"active_buffer_entries,omitempty"`
 	// Spill selects the vertex spilling mechanism: "overwrite" (NOVA's
-	// design) or "fifo" (the Table I strawman).
-	Spill string
-	// Fabric selects the interconnect: "hierarchical" (Table II) or
-	// "ideal" (infinite-bandwidth point-to-point, Fig. 9c).
-	Fabric string
+	// design, default) or "fifo" (the Table I strawman).
+	Spill string `json:"spill,omitempty"`
+	// Fabric selects the interconnect: "hierarchical" (Table II, default)
+	// or "ideal" (infinite-bandwidth point-to-point, Fig. 9c).
+	Fabric string `json:"fabric,omitempty"`
 	// Topology selects the inter-GPN topology of the hierarchical fabric:
 	// "crossbar" (default, Table II), "ring", "mesh", or "torus".
-	Topology string
+	Topology string `json:"topology,omitempty"`
 	// CoalesceWindow enables the fabric's in-flight message coalescing
 	// stage: cross-GPN batches wait up to this many core cycles for
 	// further same-destination traffic to merge with (0 disables).
-	CoalesceWindow int64
+	CoalesceWindow int64 `json:"coalesce_window,omitempty"`
 	// CoalesceCapacity bounds buffered message entries per destination PE
 	// while a coalescing window is open (0 = network default, 64).
-	CoalesceCapacity int
+	CoalesceCapacity int `json:"coalesce_capacity,omitempty"`
 	// OutOfCore enables the SSD-backed third memory tier (DESIGN.md §18):
 	// vertex blocks whose SSD page falls outside each PE's resident
 	// window pay a modeled page-in before the HBM2 access.
-	OutOfCore bool
+	OutOfCore bool `json:"out_of_core,omitempty"`
 	// SSDPreset picks the out-of-core device timing: "nvme" (default) or
-	// "sata". Ignored unless OutOfCore is set.
-	SSDPreset string
+	// "sata". Requires OutOfCore.
+	SSDPreset string `json:"ssd_preset,omitempty"`
 	// SSDResidentPages sizes each PE's DRAM-resident window in SSD pages
-	// (0 = core default, 1024). Ignored unless OutOfCore is set.
-	SSDResidentPages int
+	// (0 = core default, 1024). Requires OutOfCore.
+	SSDResidentPages int `json:"ssd_resident_pages,omitempty"`
 	// Mapping selects spatial vertex placement: "random" (default),
 	// "interleave", "load-balanced", or "locality" (Fig. 9b).
-	Mapping string
-	// Seed drives the random vertex mapping.
-	Seed int64
+	Mapping string `json:"mapping,omitempty"`
+	// Seed drives the random vertex mapping (0 = seed 1).
+	Seed int64 `json:"seed,omitempty"`
 	// MaxEvents bounds simulation length (0 = default budget).
-	MaxEvents uint64
+	MaxEvents uint64 `json:"-"`
 	// StallTimeout arms the wall-clock stall watchdog (0 = the core
 	// default, 30s; negative disables it). Excluded from the engine
 	// fingerprint: it cannot affect results, only when a stuck run aborts.
-	StallTimeout time.Duration
+	StallTimeout time.Duration `json:"-"`
 	// Shards is the number of worker goroutines driving the per-GPN
 	// engine shards (0 or 1 = sequential). Clamped to GPNs; results are
-	// bit-identical at every setting.
-	Shards int
+	// bit-identical at every setting, so it is excluded from the engine
+	// fingerprint.
+	Shards int `json:"shards,omitempty"`
 	// Observer, when non-nil, is attached as the run's cooperative-stop
 	// interrupt instead of a private one, so an external scheduler (the
 	// novad service) can sample liveness beats while the simulation
@@ -92,11 +95,11 @@ type Config struct {
 	// the engine fingerprint, like StallTimeout: observation cannot
 	// affect results, so two runs differing only in Observer are
 	// cache-equivalent.
-	Observer *sim.Interrupt
+	Observer *sim.Interrupt `json:"-"`
 }
 
 // DefaultConfig returns a single-GPN Table II system with random vertex
-// mapping.
+// mapping: the values the zero Config resolves to.
 func DefaultConfig() Config {
 	return Config{
 		GPNs:                1,
@@ -111,8 +114,23 @@ func DefaultConfig() Config {
 	}
 }
 
+// coreConfig translates c into the simulator's configuration, resolving
+// every zero field to its default, and validates the result.
 func (c Config) coreConfig() (core.Config, error) {
-	cc := core.DefaultConfig(c.GPNs)
+	if err := nonNegative(
+		option{"GPNs", float64(c.GPNs)},
+		option{"PEsPerGPN", float64(c.PEsPerGPN)},
+		option{"CacheBytesPerPE", float64(c.CacheBytesPerPE)},
+		option{"SuperblockDim", float64(c.SuperblockDim)},
+		option{"ActiveBufferEntries", float64(c.ActiveBufferEntries)},
+		option{"CoalesceWindow", float64(c.CoalesceWindow)},
+		option{"CoalesceCapacity", float64(c.CoalesceCapacity)},
+		option{"SSDResidentPages", float64(c.SSDResidentPages)},
+		option{"Shards", float64(c.Shards)},
+	); err != nil {
+		return core.Config{}, err
+	}
+	cc := core.DefaultConfig(max(c.GPNs, 1))
 	if c.PEsPerGPN > 0 {
 		cc.PEsPerGPN = c.PEsPerGPN
 	}
@@ -124,9 +142,7 @@ func (c Config) coreConfig() (core.Config, error) {
 	}
 	if c.ActiveBufferEntries > 0 {
 		cc.ActiveBufferEntries = c.ActiveBufferEntries
-		if cc.PrefetchBatch > cc.ActiveBufferEntries {
-			cc.PrefetchBatch = cc.ActiveBufferEntries
-		}
+		cc.PrefetchBatch = min(cc.PrefetchBatch, c.ActiveBufferEntries)
 	}
 	cc.MaxEvents = c.MaxEvents
 	cc.StallTimeout = c.StallTimeout
@@ -153,9 +169,6 @@ func (c Config) coreConfig() (core.Config, error) {
 		return cc, fmt.Errorf("nova: %w", err)
 	}
 	cc.Topology = topo
-	if c.CoalesceWindow < 0 {
-		return cc, fmt.Errorf("nova: CoalesceWindow = %d", c.CoalesceWindow)
-	}
 	cc.CoalesceWindow = sim.Ticks(c.CoalesceWindow)
 	cc.CoalesceCapacity = c.CoalesceCapacity
 	if c.OutOfCore {
@@ -172,16 +185,18 @@ func (c Config) coreConfig() (core.Config, error) {
 			cc.SSDResidentPages = c.SSDResidentPages
 		}
 	} else if c.SSDPreset != "" || c.SSDResidentPages != 0 {
-		return cc, fmt.Errorf("nova: SSD options set without OutOfCore")
+		return cc, fmt.Errorf("nova: SSDPreset/SSDResidentPages set without OutOfCore")
 	}
-	return cc, nil
+	return cc, cc.Validate()
 }
 
-func (c Config) partition(g *graph.CSR, gpns, pesPerGPN int) (*graph.Partition, error) {
+// partition places g's vertices on the accelerator's PEs.
+func (a *Accelerator) partition(g *graph.CSR) (*graph.Partition, error) {
+	gpns, pesPerGPN := a.cc.GPNs, a.cc.PEsPerGPN
 	parts := gpns * pesPerGPN
-	switch c.Mapping {
-	case "", "random":
-		return graph.PartitionRandom(g.NumVertices(), parts, c.Seed), nil
+	switch a.mapping {
+	case "random":
+		return graph.PartitionRandom(g.NumVertices(), parts, a.seed), nil
 	case "interleave":
 		return graph.PartitionInterleave(g.NumVertices(), parts), nil
 	case "load-balanced":
@@ -191,14 +206,28 @@ func (c Config) partition(g *graph.CSR, gpns, pesPerGPN int) (*graph.Partition, 
 		// spreading them over its PEs for parallelism.
 		return graph.PartitionLocalityHierarchical(g, gpns, pesPerGPN), nil
 	default:
-		return nil, fmt.Errorf("nova: unknown mapping %q", c.Mapping)
+		return nil, fmt.Errorf("nova: unknown mapping %q", a.mapping)
 	}
+}
+
+// system builds a fresh simulated machine holding g.
+func (a *Accelerator) system(g *graph.CSR) (*core.System, error) {
+	part, err := a.partition(g)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewSystem(a.cc, g, part)
 }
 
 // Accelerator runs programs on the simulated NOVA machine. It implements
 // program.Runner.
 type Accelerator struct {
-	cfg Config
+	// cc, mapping and seed are the resolved configuration; fp is its
+	// fingerprint, rendered once.
+	cc      core.Config
+	mapping string
+	seed    int64
+	fp      string
 }
 
 // New validates the configuration and returns an Accelerator.
@@ -207,13 +236,53 @@ func New(cfg Config) (*Accelerator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cc.Validate(); err != nil {
+	a := &Accelerator{cc: cc, mapping: cfg.Mapping, seed: cfg.Seed}
+	if a.mapping == "" {
+		a.mapping = "random"
+	}
+	if a.seed == 0 {
+		a.seed = 1
+	}
+	if _, err := a.partition(graph.FromEdges("probe", 1, nil)); err != nil {
 		return nil, err
 	}
-	if _, err := cfg.partition(graph.FromEdges("probe", 1, nil), cc.GPNs, cc.PEsPerGPN); err != nil {
-		return nil, err
+	a.fp = fingerprint("nova", struct {
+		Core    core.Config
+		Mapping string
+		Seed    int64
+	}{resultKnobs(cc), a.mapping, a.seed})
+	return a, nil
+}
+
+// resultKnobs clears the core fields that only steer the host — worker
+// count, watchdog, poll stride, observer — none of which can change a
+// result.
+func resultKnobs(cc core.Config) core.Config {
+	cc.Shards, cc.StallTimeout, cc.PollEvents, cc.Observer = 0, 0, 0, nil
+	return cc
+}
+
+// fingerprint renders an engine's identity, novad's result-cache key: the
+// engine name and every field of the configuration it runs, after
+// translation and default resolution. Two configurations that run alike
+// share a fingerprint, and any knob that changes a result changes it.
+func fingerprint(engine string, cfg any) string { return fmt.Sprintf("%s%+v", engine, cfg) }
+
+// option is one numeric knob and its name, for nonNegative.
+type option struct {
+	name  string
+	value float64
+}
+
+// nonNegative rejects the first negative knob by name: zero selects a
+// knob's default, and no size or count is negative.
+func nonNegative(opts ...option) error {
+	for _, o := range opts {
+		if o.value < 0 {
+			return fmt.Errorf("nova: %s = %v is negative", o.name, o.value)
+		}
 	}
-	return &Accelerator{cfg: cfg}, nil
+	return nil
 }
 
 // Report is the outcome of one accelerator run.
@@ -304,15 +373,7 @@ func (a *Accelerator) Run(p program.Program, g *graph.CSR) (*Report, error) {
 // and returns BOTH a Report marked Partial (with its StopReason) and the
 // error.
 func (a *Accelerator) RunContext(ctx context.Context, p program.Program, g *graph.CSR) (*Report, error) {
-	cc, err := a.cfg.coreConfig()
-	if err != nil {
-		return nil, err
-	}
-	part, err := a.cfg.partition(g, cc.GPNs, cc.PEsPerGPN)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := core.NewSystem(cc, g, part)
+	sys, err := a.system(g)
 	if err != nil {
 		return nil, err
 	}
@@ -372,19 +433,11 @@ func reportFromCore(res *core.Result) *Report {
 // propagation spans, VMU prefetch batches, drains, BSP barriers) and
 // writes a Chrome trace-event JSON file (chrome://tracing, Perfetto) to w.
 func (a *Accelerator) RunTraced(p program.Program, g *graph.CSR, w io.Writer) (*Report, error) {
-	cc, err := a.cfg.coreConfig()
+	sys, err := a.system(g)
 	if err != nil {
 		return nil, err
 	}
-	part, err := a.cfg.partition(g, cc.GPNs, cc.PEsPerGPN)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := core.NewSystem(cc, g, part)
-	if err != nil {
-		return nil, err
-	}
-	tr := trace.New(cc.ClockHz)
+	tr := trace.New(a.cc.ClockHz)
 	sys.SetTracer(tr)
 	res, err := sys.Run(context.Background(), p)
 	if err != nil {
@@ -418,14 +471,18 @@ func (a *Accelerator) RunProgramContext(ctx context.Context, p program.Program, 
 
 var _ program.Runner = (*Accelerator)(nil)
 
+// contextRunner is a program runner that observes a context: every
+// engine here implements it.
+type contextRunner interface {
+	RunProgramContext(ctx context.Context, p program.Program, g *graph.CSR) ([]program.Prop, program.RunStats, error)
+}
+
 // ctxRunner binds a context to a context-aware program runner so the
 // two-phase workloads (program.RunBC takes a plain program.Runner) stay
 // cancellable between and within phases.
 type ctxRunner struct {
 	ctx   context.Context
-	inner interface {
-		RunProgramContext(ctx context.Context, p program.Program, g *graph.CSR) ([]program.Prop, program.RunStats, error)
-	}
+	inner contextRunner
 }
 
 func (r ctxRunner) RunProgram(p program.Program, g *graph.CSR) ([]program.Prop, program.RunStats, error) {
@@ -451,81 +508,26 @@ type novaEngine struct{ acc *Accelerator }
 
 func (e novaEngine) Name() string { return "nova" }
 
-func (e novaEngine) Fingerprint() string {
-	c := e.acc.cfg
-	fp := fmt.Sprintf("nova{gpns=%d pes=%d cache=%d sbdim=%d abuf=%d spill=%s fabric=%s topo=%s coalesce=%d/%d mapping=%s seed=%d}",
-		c.GPNs, c.PEsPerGPN, c.CacheBytesPerPE, c.SuperblockDim, c.ActiveBufferEntries,
-		orDefault(c.Spill, "overwrite"), orDefault(c.Fabric, "hierarchical"),
-		orDefault(c.Topology, "crossbar"), c.CoalesceWindow, c.CoalesceCapacity,
-		orDefault(c.Mapping, "random"), c.Seed)
-	if c.OutOfCore {
-		// Appended only when the tier is on, so every pre-existing
-		// in-core fingerprint (and its cache entries) stays unchanged.
-		fp += fmt.Sprintf("+ooc{ssd=%s resident=%d}", orDefault(c.SSDPreset, "nvme"), c.SSDResidentPages)
-	}
-	return fp
-}
-
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
-}
+func (e novaEngine) Fingerprint() string { return e.acc.fp }
 
 func (e novaEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harness.Report, error) {
-	prIters := w.PRIters
-	if prIters <= 0 {
-		prIters = 10
-	}
 	acc := e.acc
 	if w.MaxEvents > 0 {
-		cfg := acc.cfg
-		cfg.MaxEvents = w.MaxEvents
-		acc = &Accelerator{cfg: cfg}
+		budgeted := *acc
+		budgeted.cc.MaxEvents = w.MaxEvents
+		acc = &budgeted
 	}
-	out := &harness.Report{
-		Engine:          e.Name(),
-		Fingerprint:     e.Fingerprint(),
-		Workload:        w.Name,
-		Tier:            w.Tier,
-		SequentialEdges: ref.SequentialEdges(w.G, w.Root, w.Name, prIters),
-	}
-	if w.Name == "bc" {
-		gT := w.GT
-		if gT == nil {
-			gT = w.G.Transpose()
+	return runAdapted(w, e.Name(), e.Fingerprint(), ctxRunner{ctx, acc}, func(p program.Program, out *harness.Report) error {
+		rep, err := acc.RunContext(ctx, p, w.G)
+		if rep != nil {
+			out.Props, out.Stats = rep.Props, rep.Stats
+			out.Dump, out.Metrics = rep.Dump, rep.Dump.Bag()
+			out.Shards = rep.Shards
+			out.WindowWallSeconds = rep.WindowWallSeconds
+			out.BarrierWallSeconds = rep.BarrierWallSeconds
 		}
-		scores, stats, err := program.RunBC(ctxRunner{ctx, acc}, w.G, gT, w.Root)
-		if err != nil {
-			reason := sim.ReasonFor(err)
-			if reason == "" {
-				return nil, err
-			}
-			out.Scores, out.Stats = scores, stats
-			out.Partial, out.StopReason = true, string(reason)
-			return out, err
-		}
-		out.Scores, out.Stats = scores, stats
-		return out, nil
-	}
-	p, err := workloadProgram(w.Name, w.Root, prIters)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := acc.RunContext(ctx, p, w.G)
-	if rep == nil {
-		return nil, err
-	}
-	out.Props, out.Stats = rep.Props, rep.Stats
-	out.Dump = rep.Dump
-	out.Metrics = rep.Dump.Bag()
-	out.Shards = rep.Shards
-	out.WindowWallSeconds = rep.WindowWallSeconds
-	out.BarrierWallSeconds = rep.BarrierWallSeconds
-	out.Partial = rep.Partial
-	out.StopReason = rep.StopReason
-	return out, err
+		return err
+	})
 }
 
 var _ harness.Engine = novaEngine{}

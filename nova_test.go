@@ -68,9 +68,9 @@ func TestConfigErrors(t *testing.T) {
 		t.Fatal("bad mapping accepted")
 	}
 	bad = smallConfig()
-	bad.GPNs = 0
+	bad.GPNs = -1
 	if _, err := nova.New(bad); err == nil {
-		t.Fatal("0 GPNs accepted")
+		t.Fatal("negative GPNs accepted")
 	}
 }
 

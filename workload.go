@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"nova/graph"
+	"nova/internal/harness"
 	"nova/internal/ref"
 	"nova/internal/sim"
 	"nova/program"
@@ -95,54 +96,79 @@ func RunWorkload(r program.Runner, name string, g, gT *graph.CSR, root graph.Ver
 }
 
 // RunWorkloadContext is RunWorkload with cooperative cancellation. When
-// the runner is context-aware (it implements RunProgramContext, as the
-// NOVA accelerator and PolyGraph baseline do), a cancelled ctx stops the
-// simulation within one poll interval and the partial outcome comes back
-// alongside the error, with Partial and StopReason set.
+// the runner is context-aware (it implements RunProgramContext, as every
+// engine here does), a cancelled ctx stops the simulation within one
+// poll interval and the partial outcome comes back alongside the error,
+// with Partial and StopReason set.
 func RunWorkloadContext(ctx context.Context, r program.Runner, name string, g, gT *graph.CSR, root graph.VertexID, prIters int) (*Outcome, error) {
+	if cr, ok := r.(contextRunner); ok {
+		r = ctxRunner{ctx, cr}
+	}
+	w := harness.Workload{Name: name, G: g, GT: gT, Root: root, PRIters: prIters}
+	rep, err := runAdapted(w, "", "", r, func(p program.Program, out *harness.Report) (err error) {
+		out.Props, out.Stats, err = r.RunProgram(p, g)
+		return err
+	})
+	if rep == nil {
+		return nil, err
+	}
+	return &Outcome{
+		Workload:        name,
+		Stats:           rep.Stats,
+		SequentialEdges: rep.SequentialEdges,
+		Props:           rep.Props,
+		Scores:          rep.Scores,
+		Partial:         rep.Partial,
+		StopReason:      rep.StopReason,
+	}, err
+}
+
+// runAdapted is the body RunWorkloadContext and the harness adapters
+// share. It fills the report header and the work-efficiency denominator,
+// runs "bc" as program.RunBC over bc, and hands every other workload's
+// single-phase program to run; a nil bc hands "bc" to run as well, with
+// a nil program, for engines with their own BC kernel. A cooperative stop
+// is salvaged as a Partial report; any other error discards the report.
+func runAdapted(w harness.Workload, engine, fingerprint string, bc program.Runner, run func(p program.Program, out *harness.Report) error) (*harness.Report, error) {
+	prIters := w.PRIters
 	if prIters <= 0 {
 		prIters = 10
 	}
-	if cr, ok := r.(interface {
-		RunProgramContext(ctx context.Context, p program.Program, g *graph.CSR) ([]program.Prop, program.RunStats, error)
-	}); ok {
-		r = ctxRunner{ctx, cr}
+	out := &harness.Report{
+		Engine:          engine,
+		Fingerprint:     fingerprint,
+		Workload:        w.Name,
+		Tier:            w.Tier,
+		SequentialEdges: ref.SequentialEdges(w.G, w.Root, w.Name, prIters),
 	}
-	o := &Outcome{
-		Workload:        name,
-		SequentialEdges: ref.SequentialEdges(g, root, name, prIters),
-	}
-	if name == "bc" {
-		if gT == nil {
-			gT = g.Transpose()
+	var err error
+	switch {
+	case w.Name == "bc" && bc != nil:
+		out.Scores, out.Stats, err = program.RunBC(bc, w.G, transposeOf(w), w.Root)
+	case w.Name == "bc":
+		err = run(nil, out)
+	default:
+		var p program.Program
+		if p, err = workloadProgram(w.Name, w.Root, prIters); err != nil {
+			return nil, err
 		}
-		scores, stats, err := program.RunBC(r, g, gT, root)
-		o.Scores = scores
-		o.Stats = stats
-		return salvageOutcome(o, err)
+		err = run(p, out)
 	}
-	p, err := workloadProgram(name, root, prIters)
 	if err != nil {
-		return nil, err
+		reason := sim.ReasonFor(err)
+		if reason == "" {
+			return nil, err
+		}
+		out.Partial, out.StopReason = true, string(reason)
 	}
-	props, stats, err := r.RunProgram(p, g)
-	o.Props = props
-	o.Stats = stats
-	return salvageOutcome(o, err)
+	return out, err
 }
 
-// salvageOutcome classifies a run error: cooperative stops keep the
-// partial outcome (Partial set) alongside the error, anything else
-// discards it.
-func salvageOutcome(o *Outcome, err error) (*Outcome, error) {
-	if err == nil {
-		return o, nil
+// transposeOf returns the workload's transpose, building it when the
+// caller did not supply one.
+func transposeOf(w harness.Workload) *graph.CSR {
+	if w.GT != nil {
+		return w.GT
 	}
-	reason := sim.ReasonFor(err)
-	if reason == "" {
-		return nil, err
-	}
-	o.Partial = true
-	o.StopReason = string(reason)
-	return o, err
+	return w.G.Transpose()
 }
