@@ -40,7 +40,7 @@ func main() {
 	parts := flag.Int("parts", 0, "if >0, report partitioner statistics for this many parts")
 	stream := flag.Bool("stream", false, "generate via the constant-memory streaming generators")
 	out := flag.String("o", "", "write the binary CSR container to FILE")
-	chunkEdges := flag.Int64("chunk-edges", 0, "scatter-buffer budget for streaming container builds (0 = default)")
+	chunkEdges := flag.Int64("chunk-edges", 0, "scatter-buffer budget in edges for the streaming container build (needs -stream -o; 0 = default)")
 	partitionEdges := flag.Int64("partition-edges", 0, "if >0, write the partitioned container layout with at most this many edges per vertex interval (pageable via novasim -partition-cache)")
 	info := flag.String("info", "", "print the header of a binary CSR container and exit")
 	flag.Parse()
@@ -58,6 +58,10 @@ func main() {
 	}
 	if *partitionEdges > 0 && *out == "" {
 		fmt.Fprintln(os.Stderr, "graphgen: -partition-edges shapes the container layout; add -o FILE")
+		os.Exit(1)
+	}
+	if *chunkEdges != 0 && !(*stream && *out != "") {
+		fmt.Fprintln(os.Stderr, "graphgen: -chunk-edges bounds the streaming container build; add -stream -o FILE")
 		os.Exit(1)
 	}
 

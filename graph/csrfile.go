@@ -217,57 +217,23 @@ func (s *sectionWriter) write(p []byte) error {
 }
 
 // WriteCSRFile serializes g into the versioned container at path.
-func WriteCSRFile(path string, g *CSR) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-
-	// Header slot first; rewritten with checksums once sections are done.
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if _, err := bw.Write(make([]byte, csrFileHeaderSize)); err != nil {
-		return err
-	}
-	var secs [csrFileSections]csrSection
-	sw := &sectionWriter{w: bw}
-	var scratch [8]byte
-	for _, p := range g.RowPtr {
-		binary.LittleEndian.PutUint64(scratch[:], uint64(p))
-		if err := sw.write(scratch[:]); err != nil {
-			return err
-		}
-	}
-	secs[0] = csrSection{off: csrFileHeaderSize, length: sw.n, crc: sw.crc}
-
-	sw = &sectionWriter{w: bw}
-	for i := range g.Dst {
-		binary.LittleEndian.PutUint32(scratch[0:4], uint32(g.Dst[i]))
-		binary.LittleEndian.PutUint32(scratch[4:8], g.Weight[i])
-		if err := sw.write(scratch[:]); err != nil {
-			return err
-		}
-	}
-	secs[1] = csrSection{off: secs[0].off + secs[0].length, length: sw.n, crc: sw.crc}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if _, err := f.WriteAt(headerBytes(g.NumVertices(), g.NumEdges(), 0, secs), 0); err != nil {
-		return err
-	}
-	return nil
+func WriteCSRFile(path string, g *CSR) error {
+	_, err := writeContainer(path, g.RowPtr, 0, g.encodeEdges)
+	return err
 }
+
+// defaultChunkEdges is BuildOptions.ChunkEdges' default: 4Mi edges, a
+// 32 MiB scatter buffer.
+const defaultChunkEdges = 4 << 20
 
 // BuildOptions tune the streaming container build.
 type BuildOptions struct {
-	// ChunkEdges bounds the scatter buffer: pass two replays the stream
-	// once per chunk of at most this many edges (default 4Mi edges,
-	// a 32 MiB buffer). Smaller values trade generator replays for
-	// memory.
+	// ChunkEdges bounds the scatter buffer (default 4Mi edges, a 32 MiB
+	// buffer). The build replays the stream once to count degrees and
+	// once per chunk of at most this many edges, so 1 + ⌈|E|/ChunkEdges⌉
+	// passes in all (more only when a hub alone exceeds the budget),
+	// whatever the layout or partition count. Smaller values trade
+	// generator replays for memory.
 	ChunkEdges int64
 	// PartitionEdges, when positive, emits the partitioned layout
 	// (csrpart.go) instead of the flat one: contiguous vertex intervals
@@ -279,36 +245,48 @@ type BuildOptions struct {
 
 // BuildCSRFile generates st directly into the versioned container at path
 // without ever materializing the graph: pass one counts degrees into the
-// row pointers (O(|V|) memory), then the edge section is scattered chunk
+// row pointers (O(|V|) memory), then the edge records are scattered chunk
 // by chunk — each chunk covers a contiguous source-vertex range holding at
 // most opt.ChunkEdges edges, filled by replaying the stream and keeping
 // only that range. Peak memory is O(|V|) + O(ChunkEdges) regardless of
 // |E|.
-func BuildCSRFile(path string, st EdgeStream, opt BuildOptions) (info CSRFileInfo, err error) {
+func BuildCSRFile(path string, st EdgeStream, opt BuildOptions) (CSRFileInfo, error) {
 	chunk := opt.ChunkEdges
 	if chunk <= 0 {
-		chunk = 4 << 20
+		chunk = defaultChunkEdges
 	}
 	n := st.NumVertices()
 	rowPtr := make([]int64, n+1)
 	st.Reset()
-	var m int64
-	for {
-		e, ok := st.Next()
-		if !ok {
-			break
-		}
+	for e, ok := st.Next(); ok; e, ok = st.Next() {
 		if int(e.Src) >= n || int(e.Dst) >= n {
-			return info, fmt.Errorf("graph: stream edge %d->%d out of range %d", e.Src, e.Dst, n)
+			return CSRFileInfo{}, fmt.Errorf("graph: stream edge %d->%d out of range %d", e.Src, e.Dst, n)
 		}
 		rowPtr[e.Src+1]++
-		m++
 	}
 	for i := 1; i <= n; i++ {
 		rowPtr[i] += rowPtr[i-1]
 	}
-	if opt.PartitionEdges > 0 {
-		return buildPartitionedCSRFile(path, st, rowPtr, m, chunk, opt.PartitionEdges)
+	return writeContainer(path, rowPtr, opt.PartitionEdges, func(emit func([]byte) error) error {
+		return scatterEdges(st, rowPtr, chunk, emit)
+	})
+}
+
+// writeContainer writes the container of the graph with row pointers
+// rowPtr to path: the flat layout, or the partitioned one (csrpart.go)
+// with at most partEdges edges per partition when partEdges > 0. edges
+// must hand every encoded edge record to emit, in row-pointer order, in
+// blocks of any size. The header and partition table are written last,
+// once their checksums are known.
+func writeContainer(path string, rowPtr []int64, partEdges int64, edges func(emit func([]byte) error) error) (info CSRFileInfo, err error) {
+	if len(rowPtr) < 2 {
+		return info, errors.New("graph: a csr container needs at least one vertex")
+	}
+	var pw *partWriter
+	bodyOff := uint64(csrFileHeaderSize)
+	if partEdges > 0 {
+		pw = newPartWriter(rowPtr, partEdges, bodyOff)
+		bodyOff = pw.off
 	}
 
 	f, err := os.Create(path)
@@ -321,104 +299,120 @@ func BuildCSRFile(path string, st EdgeStream, opt BuildOptions) (info CSRFileInf
 		}
 	}()
 	bw := bufio.NewWriterSize(f, 1<<20)
-	if _, err := bw.Write(make([]byte, csrFileHeaderSize)); err != nil {
+	if _, err := bw.Write(make([]byte, bodyOff)); err != nil {
 		return info, err
 	}
 	var secs [csrFileSections]csrSection
+	var flags uint16
+	var table []byte
 	sw := &sectionWriter{w: bw}
-	var scratch [8]byte
-	for _, p := range rowPtr {
-		binary.LittleEndian.PutUint64(scratch[:], uint64(p))
-		if err := sw.write(scratch[:]); err != nil {
+	if pw != nil {
+		if err := pw.payload(sw, edges); err != nil {
 			return info, err
 		}
+		table = partitionTableBytes(pw.parts)
+		secs[0] = csrSection{off: csrFileHeaderSize, length: uint64(len(table)), crc: crc32.Checksum(table, crcTable)}
+		secs[1] = csrSection{off: bodyOff, length: sw.n, crc: sw.crc}
+		flags = csrFlagPartitioned
+	} else {
+		if err := encodeRowPtrs(rowPtr, sw.write); err != nil {
+			return info, err
+		}
+		secs[0] = csrSection{off: bodyOff, length: sw.n, crc: sw.crc}
+		sw = &sectionWriter{w: bw}
+		if err := edges(sw.write); err != nil {
+			return info, err
+		}
+		secs[1] = csrSection{off: secs[0].off + secs[0].length, length: sw.n, crc: sw.crc}
 	}
-	secs[0] = csrSection{off: csrFileHeaderSize, length: sw.n, crc: sw.crc}
-
-	sw = &sectionWriter{w: bw}
-	sc := newEdgeScatter(chunk, m)
-	if err := sc.scatter(st, rowPtr, 0, n, sw.write); err != nil {
-		return info, err
-	}
-	secs[1] = csrSection{off: secs[0].off + secs[0].length, length: sw.n, crc: sw.crc}
 	if err := bw.Flush(); err != nil {
 		return info, err
 	}
-	hdr := headerBytes(n, m, 0, secs)
+	if table != nil {
+		if _, err := f.WriteAt(table, csrFileHeaderSize); err != nil {
+			return info, err
+		}
+	}
+	hdr := headerBytes(len(rowPtr)-1, rowPtr[len(rowPtr)-1], flags, secs)
 	if _, err := f.WriteAt(hdr, 0); err != nil {
 		return info, err
 	}
-	return CSRFileInfo{
-		Version:     CSRFileVersion,
-		NumVertices: n,
-		NumEdges:    m,
-		RowPtrBytes: int64(secs[0].length),
-		EdgeBytes:   int64(secs[1].length),
-		ContentHash: binary.LittleEndian.Uint32(hdr[csrFileHeaderSize-4:]),
-	}, nil
+	// The reader's own header check doubles as the writer's: it fails if
+	// edges emitted a different number of records than rowPtr promises.
+	info, _, err = parseHeader(hdr)
+	return info, err
 }
 
-// edgeScatter holds the reusable chunk buffers of the streaming edge
-// scatter shared by the flat and partitioned builds.
-type edgeScatter struct {
-	chunk  int64
-	buf    []byte
-	cursor []int64
+// emitBlocks encodes records [0, n) of size bytes each through put and
+// hands them to emit a bounded block at a time.
+func emitBlocks(n, size int, put func(rec []byte, i int), emit func([]byte) error) error {
+	const block = 64 << 10
+	buf := make([]byte, min(n, block)*size)
+	for lo := 0; lo < n; lo += block {
+		hi := min(lo+block, n)
+		b := buf[:(hi-lo)*size]
+		for i := lo; i < hi; i++ {
+			put(b[(i-lo)*size:], i)
+		}
+		if err := emit(b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-func newEdgeScatter(chunk, totalEdges int64) *edgeScatter {
-	return &edgeScatter{chunk: chunk, buf: make([]byte, 0, min64(chunk, totalEdges)*csrEdgeRecBytes)}
+// encodeRowPtrs hands rows to emit as u64 records.
+func encodeRowPtrs(rows []int64, emit func([]byte) error) error {
+	return emitBlocks(len(rows), 8, func(rec []byte, i int) {
+		binary.LittleEndian.PutUint64(rec, uint64(rows[i]))
+	}, emit)
 }
 
-// scatter replays st once per chunk and hands the encoded edge records of
-// sources [vLo, vHi) to emit in row-pointer order. Each chunk covers a
-// contiguous source range holding at most chunk edges (always at least one
-// vertex, so a single hub denser than the budget still builds — with a
+// encodeEdges hands g's edge records to emit in row-pointer order.
+func (g *CSR) encodeEdges(emit func([]byte) error) error {
+	return emitBlocks(len(g.Dst), csrEdgeRecBytes, func(rec []byte, i int) {
+		binary.LittleEndian.PutUint32(rec, uint32(g.Dst[i]))
+		binary.LittleEndian.PutUint32(rec[4:], g.Weight[i])
+	}, emit)
+}
+
+// scatterEdges replays st once per chunk and hands the encoded edge
+// records to emit in row-pointer order. The chunks are the contiguous
+// source ranges partitionBoundaries cuts at chunk edges (always at least
+// one vertex, so a hub denser than the budget still builds — with a
 // proportionally larger buffer). Zero stream weights are stored as 1.
-func (sc *edgeScatter) scatter(st EdgeStream, rowPtr []int64, vLo, vHi int, emit func([]byte) error) error {
-	for vLo < vHi {
-		cHi := vLo + 1
-		for cHi < vHi && rowPtr[cHi+1]-rowPtr[vLo] <= sc.chunk {
-			cHi++
-		}
+func scatterEdges(st EdgeStream, rowPtr []int64, chunk int64, emit func([]byte) error) error {
+	bounds := partitionBoundaries(rowPtr, chunk)
+	buf := make([]byte, 0, min(chunk, rowPtr[len(rowPtr)-1])*csrEdgeRecBytes)
+	var cursor []int64
+	for i := 0; i+1 < len(bounds); i++ {
+		vLo, vHi := bounds[i], bounds[i+1]
 		base := rowPtr[vLo]
-		span := rowPtr[cHi] - base
-		need := span * csrEdgeRecBytes
-		if int64(cap(sc.buf)) < need {
-			sc.buf = make([]byte, need)
-		} else {
-			sc.buf = sc.buf[:need]
+		need := (rowPtr[vHi] - base) * csrEdgeRecBytes
+		if int64(cap(buf)) < need {
+			buf = make([]byte, need)
 		}
-		if cap(sc.cursor) < cHi-vLo {
-			sc.cursor = make([]int64, cHi-vLo)
-		} else {
-			sc.cursor = sc.cursor[:cHi-vLo]
-			for i := range sc.cursor {
-				sc.cursor[i] = 0
-			}
-		}
+		buf = buf[:need]
+		// cursor[v-vLo] is the next free edge slot of source v.
+		cursor = append(cursor[:0], rowPtr[vLo:vHi]...)
 		st.Reset()
-		for {
-			e, ok := st.Next()
-			if !ok {
-				break
-			}
-			if int(e.Src) < vLo || int(e.Src) >= cHi {
+		for e, ok := st.Next(); ok; e, ok = st.Next() {
+			v := int(e.Src)
+			if v < vLo || v >= vHi {
 				continue
 			}
-			slot := rowPtr[e.Src] - base + sc.cursor[int(e.Src)-vLo]
-			sc.cursor[int(e.Src)-vLo]++
+			slot := (cursor[v-vLo] - base) * csrEdgeRecBytes
+			cursor[v-vLo]++
 			w := e.Weight
 			if w == 0 {
 				w = 1
 			}
-			binary.LittleEndian.PutUint32(sc.buf[slot*csrEdgeRecBytes:], uint32(e.Dst))
-			binary.LittleEndian.PutUint32(sc.buf[slot*csrEdgeRecBytes+4:], w)
+			binary.LittleEndian.PutUint32(buf[slot:], uint32(e.Dst))
+			binary.LittleEndian.PutUint32(buf[slot+4:], w)
 		}
-		if err := emit(sc.buf); err != nil {
+		if err := emit(buf); err != nil {
 			return err
 		}
-		vLo = cHi
 	}
 	return nil
 }
@@ -540,11 +534,4 @@ func StatCSRFile(path string) (CSRFileInfo, error) {
 	}
 	info, _, err := parseHeader(hdr)
 	return info, err
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

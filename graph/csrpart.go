@@ -1,12 +1,10 @@
 package graph
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 )
 
 // Partitioned container layout (header flag bit 0) — the on-disk format of
@@ -143,167 +141,109 @@ const DefaultPartitionEdges = 1 << 20
 // when <= 0). The payload bytes are the same row pointers and edge records
 // a flat write produces, restructured into independently checksummed
 // vertex-interval slabs.
-func WritePartitionedCSRFile(path string, g *CSR, targetEdges int64) (info CSRFileInfo, err error) {
+func WritePartitionedCSRFile(path string, g *CSR, targetEdges int64) (CSRFileInfo, error) {
 	if targetEdges <= 0 {
 		targetEdges = DefaultPartitionEdges
 	}
-	bounds := partitionBoundaries(g.RowPtr, targetEdges)
-	nParts := len(bounds) - 1
-	n, m := g.NumVertices(), g.NumEdges()
-
-	f, err := os.Create(path)
-	if err != nil {
-		return info, err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	tableLen := uint64(8 + nParts*csrPartEntryBytes)
-	payloadOff := uint64(csrFileHeaderSize) + tableLen
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if _, err := bw.Write(make([]byte, payloadOff)); err != nil {
-		return info, err
-	}
-
-	parts := make([]csrPartition, nParts)
-	sw := &sectionWriter{w: bw}
-	var scratch [8]byte
-	for i := range parts {
-		lo, hi := bounds[i], bounds[i+1]
-		pt := csrPartition{
-			vFirst: lo,
-			vCount: hi - lo,
-			edges:  g.RowPtr[hi] - g.RowPtr[lo],
-			rowOff: payloadOff + sw.n,
-		}
-		for _, p := range g.RowPtr[lo : hi+1] {
-			binary.LittleEndian.PutUint64(scratch[:], uint64(p))
-			pt.rowCRC = crc32.Update(pt.rowCRC, crcTable, scratch[:])
-			if err := sw.write(scratch[:]); err != nil {
-				return info, err
-			}
-		}
-		pt.edgeOff = payloadOff + sw.n
-		for e := g.RowPtr[lo]; e < g.RowPtr[hi]; e++ {
-			binary.LittleEndian.PutUint32(scratch[0:4], uint32(g.Dst[e]))
-			binary.LittleEndian.PutUint32(scratch[4:8], g.Weight[e])
-			pt.edgeCRC = crc32.Update(pt.edgeCRC, crcTable, scratch[:])
-			if err := sw.write(scratch[:]); err != nil {
-				return info, err
-			}
-		}
-		parts[i] = pt
-	}
-	if err := bw.Flush(); err != nil {
-		return info, err
-	}
-
-	table := partitionTableBytes(parts)
-	if _, err := f.WriteAt(table, csrFileHeaderSize); err != nil {
-		return info, err
-	}
-	secs := [csrFileSections]csrSection{
-		{off: csrFileHeaderSize, length: tableLen, crc: crc32.Checksum(table, crcTable)},
-		{off: payloadOff, length: sw.n, crc: sw.crc},
-	}
-	hdr := headerBytes(n, m, csrFlagPartitioned, secs)
-	if _, err := f.WriteAt(hdr, 0); err != nil {
-		return info, err
-	}
-	return CSRFileInfo{
-		Version:       CSRFileVersion,
-		NumVertices:   n,
-		NumEdges:      m,
-		RowPtrBytes:   int64(secs[1].length) - m*csrEdgeRecBytes,
-		EdgeBytes:     m * csrEdgeRecBytes,
-		Partitioned:   true,
-		NumPartitions: nParts,
-		ContentHash:   binary.LittleEndian.Uint32(hdr[csrFileHeaderSize-4:]),
-	}, nil
+	return writeContainer(path, g.RowPtr, targetEdges, g.encodeEdges)
 }
 
-// buildPartitionedCSRFile is the partitioned arm of BuildCSRFile: the row
-// pointers are already counted, so partition boundaries are known up front
-// and each partition's slabs stream out in order — the edge slabs through
-// the same chunked scatter the flat build uses, bounded to the partition's
-// vertex interval. Peak memory stays O(|V|) + O(chunk).
-func buildPartitionedCSRFile(path string, st EdgeStream, rowPtr []int64, m, chunk, partEdges int64) (info CSRFileInfo, err error) {
+// partWriter lays out the payload section of a partitioned container from
+// one in-order run of edge records: each partition's row slab, then its
+// edge slab, with both slab checksums. It splits the record blocks it is
+// handed at partition boundaries, so the edge source knows nothing of the
+// partitioning — a streaming build replays its generator no more often
+// for the partitioned layout than for the flat one.
+type partWriter struct {
+	sw     *sectionWriter
+	rowPtr []int64
+	bounds []int
+	parts  []csrPartition
+	off    uint64 // file offset of the payload section
+	cur    int    // partition receiving edge records
+	next   int64  // global index of the next edge record
+}
+
+// newPartWriter cuts rowPtr into partitions of at most partEdges edges;
+// the partition table follows the header at tableOff.
+func newPartWriter(rowPtr []int64, partEdges int64, tableOff uint64) *partWriter {
 	bounds := partitionBoundaries(rowPtr, partEdges)
 	nParts := len(bounds) - 1
-	n := len(rowPtr) - 1
+	return &partWriter{
+		rowPtr: rowPtr,
+		bounds: bounds,
+		parts:  make([]csrPartition, nParts),
+		off:    tableOff + uint64(8+nParts*csrPartEntryBytes),
+	}
+}
 
-	f, err := os.Create(path)
-	if err != nil {
-		return info, err
+// payload writes the whole payload section through sw, with the edge
+// records edges emits.
+func (pw *partWriter) payload(sw *sectionWriter, edges func(emit func([]byte) error) error) error {
+	pw.sw = sw
+	if err := pw.open(0); err != nil {
+		return err
 	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	tableLen := uint64(8 + nParts*csrPartEntryBytes)
-	payloadOff := uint64(csrFileHeaderSize) + tableLen
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if _, err := bw.Write(make([]byte, payloadOff)); err != nil {
-		return info, err
+	if err := pw.advance(); err != nil {
+		return err
 	}
+	return edges(pw.edges)
+}
 
-	parts := make([]csrPartition, nParts)
-	sw := &sectionWriter{w: bw}
-	sc := newEdgeScatter(chunk, m)
-	var scratch [8]byte
-	for i := range parts {
-		lo, hi := bounds[i], bounds[i+1]
-		pt := csrPartition{
-			vFirst: lo,
-			vCount: hi - lo,
-			edges:  rowPtr[hi] - rowPtr[lo],
-			rowOff: payloadOff + sw.n,
-		}
-		for _, p := range rowPtr[lo : hi+1] {
-			binary.LittleEndian.PutUint64(scratch[:], uint64(p))
-			pt.rowCRC = crc32.Update(pt.rowCRC, crcTable, scratch[:])
-			if err := sw.write(scratch[:]); err != nil {
-				return info, err
-			}
-		}
-		pt.edgeOff = payloadOff + sw.n
-		if err := sc.scatter(st, rowPtr, lo, hi, func(p []byte) error {
-			pt.edgeCRC = crc32.Update(pt.edgeCRC, crcTable, p)
-			return sw.write(p)
-		}); err != nil {
-			return info, err
-		}
-		parts[i] = pt
+// open writes partition i's row slab and makes it the one receiving edge
+// records.
+func (pw *partWriter) open(i int) error {
+	lo, hi := pw.bounds[i], pw.bounds[i+1]
+	pt := &pw.parts[i]
+	*pt = csrPartition{
+		vFirst: lo,
+		vCount: hi - lo,
+		edges:  pw.rowPtr[hi] - pw.rowPtr[lo],
+		rowOff: pw.off + pw.sw.n,
 	}
-	if err := bw.Flush(); err != nil {
-		return info, err
+	if err := encodeRowPtrs(pw.rowPtr[lo:hi+1], func(p []byte) error {
+		pt.rowCRC = crc32.Update(pt.rowCRC, crcTable, p)
+		return pw.sw.write(p)
+	}); err != nil {
+		return err
 	}
+	pt.edgeOff = pw.off + pw.sw.n
+	pw.cur = i
+	return nil
+}
 
-	table := partitionTableBytes(parts)
-	if _, err := f.WriteAt(table, csrFileHeaderSize); err != nil {
-		return info, err
+// advance opens the next partition while the current one holds all its
+// edges, so an edge-less partition gets its row slab in order too.
+func (pw *partWriter) advance() error {
+	for pw.cur+1 < len(pw.parts) && pw.next == pw.rowPtr[pw.bounds[pw.cur+1]] {
+		if err := pw.open(pw.cur + 1); err != nil {
+			return err
+		}
 	}
-	secs := [csrFileSections]csrSection{
-		{off: csrFileHeaderSize, length: tableLen, crc: crc32.Checksum(table, crcTable)},
-		{off: payloadOff, length: sw.n, crc: sw.crc},
+	return nil
+}
+
+// edges writes a block of edge records, closing each partition as its
+// last record passes.
+func (pw *partWriter) edges(p []byte) error {
+	for len(p) > 0 {
+		pt := &pw.parts[pw.cur]
+		room := (pw.rowPtr[pw.bounds[pw.cur+1]] - pw.next) * csrEdgeRecBytes
+		if room <= 0 {
+			return fmt.Errorf("graph: %d bytes of edge records past the last row pointer", len(p))
+		}
+		k := min(int64(len(p)), room)
+		pt.edgeCRC = crc32.Update(pt.edgeCRC, crcTable, p[:k])
+		if err := pw.sw.write(p[:k]); err != nil {
+			return err
+		}
+		pw.next += k / csrEdgeRecBytes
+		p = p[k:]
+		if err := pw.advance(); err != nil {
+			return err
+		}
 	}
-	hdr := headerBytes(n, m, csrFlagPartitioned, secs)
-	if _, err := f.WriteAt(hdr, 0); err != nil {
-		return info, err
-	}
-	return CSRFileInfo{
-		Version:       CSRFileVersion,
-		NumVertices:   n,
-		NumEdges:      m,
-		RowPtrBytes:   int64(secs[1].length) - m*csrEdgeRecBytes,
-		EdgeBytes:     m * csrEdgeRecBytes,
-		Partitioned:   true,
-		NumPartitions: nParts,
-		ContentHash:   binary.LittleEndian.Uint32(hdr[csrFileHeaderSize-4:]),
-	}, nil
+	return nil
 }
 
 // readPartitionedCSR is the partitioned arm of ReadCSR: it streams the

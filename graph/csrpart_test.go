@@ -100,6 +100,144 @@ func TestBuildPartitionedCSRFileMatchesWrite(t *testing.T) {
 			t.Fatalf("chunk %d: container bytes differ from WritePartitionedCSRFile", chunk)
 		}
 	}
+
+	// Edge-less vertex runs ending at hubs denser than the partition
+	// budget make edge-less partitions, first, interior and last.
+	var es []Edge
+	for _, hub := range []struct{ v, deg int }{{5, 6}, {10, 2}, {11, 2}, {16, 5}, {35, 9}} {
+		for i := 0; i < hub.deg; i++ {
+			es = append(es, Edge{Src: VertexID(hub.v), Dst: VertexID((hub.v*7 + i*3) % 40), Weight: uint32(1 + i)})
+		}
+	}
+	rand.New(rand.NewSource(3)).Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+	sparse := &edgeListStream{n: 40, edges: es}
+	rowPtr := FromStream(sparse).RowPtr
+	bounds := partitionBoundaries(rowPtr, 4)
+	empty := 0
+	for i := 0; i+1 < len(bounds); i++ {
+		if rowPtr[bounds[i]] == rowPtr[bounds[i+1]] {
+			empty++
+		}
+	}
+	if empty < 3 || rowPtr[bounds[1]] != 0 || rowPtr[bounds[len(bounds)-2]] != rowPtr[40] {
+		t.Fatalf("partitions %v of row pointers %v lack edge-less first, interior and last partitions", bounds, rowPtr)
+	}
+	buildMatchesWrite(t, sparse, 4, []int64{0, 1, 3, 4, 5, 1 << 30})
+
+	// Chunk budgets whose chunks end exactly on partition boundaries: the
+	// partition budget itself (chunks and partitions coincide), and the
+	// first partition's edge count (only the first chunk ends on one).
+	bounds = partitionBoundaries(want.RowPtr, 256)
+	first := want.RowPtr[bounds[1]]
+	if chunkEnd := partitionBoundaries(want.RowPtr, first)[1]; chunkEnd != bounds[1] {
+		t.Fatalf("a %d-edge chunk ends at vertex %d, the first partition at %d", first, chunkEnd, bounds[1])
+	}
+	buildMatchesWrite(t, st, 256, []int64{256, first})
+}
+
+// buildMatchesWrite checks that streaming st into a partitioned container
+// gives the bytes WritePartitionedCSRFile writes for the materialized graph,
+// at every chunk budget.
+func buildMatchesWrite(t *testing.T, st EdgeStream, partEdges int64, chunks []int64) {
+	t.Helper()
+	dir := t.TempDir()
+	wantPath := filepath.Join(dir, "want.csr")
+	if _, err := WritePartitionedCSRFile(wantPath, FromStream(st), partEdges); err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, err := os.ReadFile(wantPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chunk := range chunks {
+		path := filepath.Join(dir, "got.csr")
+		if _, err := BuildCSRFile(path, st, BuildOptions{ChunkEdges: chunk, PartitionEdges: partEdges}); err != nil {
+			t.Fatalf("chunk %d: %v", chunk, err)
+		}
+		gotBytes, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotBytes, wantBytes) {
+			t.Fatalf("chunk %d: container bytes differ from WritePartitionedCSRFile", chunk)
+		}
+		if _, err := ReadCSRFile(path); err != nil {
+			t.Fatalf("chunk %d: %v", chunk, err)
+		}
+	}
+}
+
+// edgeListStream replays a fixed edge list.
+type edgeListStream struct {
+	n     int
+	edges []Edge
+	next  int
+}
+
+func (s *edgeListStream) Name() string     { return "edges" }
+func (s *edgeListStream) NumVertices() int { return s.n }
+func (s *edgeListStream) NumEdges() int64  { return int64(len(s.edges)) }
+func (s *edgeListStream) Reset()           { s.next = 0 }
+func (s *edgeListStream) Next() (Edge, bool) {
+	if s.next == len(s.edges) {
+		return Edge{}, false
+	}
+	s.next++
+	return s.edges[s.next-1], true
+}
+
+// replayCounter counts the replays of the stream it wraps.
+type replayCounter struct {
+	EdgeStream
+	resets int
+}
+
+func (r *replayCounter) Reset() {
+	r.resets++
+	r.EdgeStream.Reset()
+}
+
+// TestBuildCSRFileReplayCount pins the cost model of a streaming build:
+// one replay to count degrees and one per scatter chunk, the same for the
+// flat and partitioned layouts whatever the partition count.
+func TestBuildCSRFileReplayCount(t *testing.T) {
+	dir := t.TempDir()
+	cases := []struct {
+		name  string
+		st    EdgeStream
+		chunk int64
+	}{
+		// The benchmark's out-of-core graph: both layouts take two passes.
+		{"rmat20k", NewRMATStream("rmat", 20000, 16, DefaultRMAT, 64, 12), 0},
+		{"rmat500/chunk64", NewRMATStream("rmat", 500, 8, DefaultRMAT, 64, 11), 64},
+		{"urand500/chunk100", NewUniformStream("urand", 500, 8, 64, 11), 100},
+	}
+	for _, c := range cases {
+		budget := c.chunk
+		if budget <= 0 {
+			budget = defaultChunkEdges
+		}
+		g := FromStream(c.st)
+		chunks := len(partitionBoundaries(g.RowPtr, budget)) - 1
+		if minChunks := int((g.NumEdges() + budget - 1) / budget); chunks < minChunks {
+			t.Fatalf("%s: %d chunks, fewer than ⌈|E|/chunk⌉ = %d", c.name, chunks, minChunks)
+		}
+		if c.chunk == 0 && chunks != 1 {
+			t.Fatalf("%s: %d chunks at the default budget, want 1", c.name, chunks)
+		}
+		for _, partEdges := range []int64{0, 64 << 10, 256} {
+			rc := &replayCounter{EdgeStream: c.st}
+			path := filepath.Join(dir, "g.csr")
+			info, err := BuildCSRFile(path, rc, BuildOptions{ChunkEdges: c.chunk, PartitionEdges: partEdges})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rc.resets != 1+chunks {
+				t.Errorf("%s, %d partitions: %d replays, want 1 + %d chunks",
+					c.name, info.NumPartitions, rc.resets, chunks)
+			}
+		}
+	}
 }
 
 // TestPartitionedCSRPagedBitIdentity is the tentpole invariant: a paged

@@ -35,6 +35,42 @@ type RMATParams struct {
 // DefaultRMAT is the Graph500 parameterization.
 var DefaultRMAT = RMATParams{A: 0.57, B: 0.19, C: 0.19}
 
+// rmatWalk is the recursive quadrant walk shared by every R-MAT
+// generator, with the cumulative quadrant thresholds computed once.
+type rmatWalk struct {
+	a, ab, abc float64
+	scale      int
+}
+
+func (p RMATParams) walk(scale int) rmatWalk {
+	return rmatWalk{a: p.A, ab: p.A + p.B, abc: p.A + p.B + p.C, scale: scale}
+}
+
+// draw picks one endpoint pair over [0, 2^scale), one rng.Float64 per
+// bit, low bit first. A draw below a lands in the top-left quadrant (no
+// bit), below ab in top-right (dst), below abc in bottom-left (src), and
+// otherwise bottom-right (both). The bits are set from comparisons rather
+// than a switch, which mispredicts on random draws: src past ab, dst when
+// the draw passes an odd number of the three thresholds.
+func (w rmatWalk) draw(rng *rand.Rand) (src, dst int) {
+	for bit := 0; bit < w.scale; bit++ {
+		r := rng.Float64()
+		s := b2i(r >= w.ab)
+		d := b2i(r >= w.a) ^ s ^ b2i(r >= w.abc)
+		src |= s << bit
+		dst |= d << bit
+	}
+	return src, dst
+}
+
+// b2i compiles to a flag-setting instruction, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // GenRMAT generates a Kronecker (R-MAT) graph with 2^scale vertices and
 // approximately avgDegree out-edges per vertex. Vertex IDs are randomly
 // permuted so that the natural ordering carries no community structure —
@@ -47,23 +83,10 @@ func GenRMAT(name string, scale int, avgDegree float64, p RMATParams, maxWeight 
 	n := 1 << scale
 	m := int(float64(n) * avgDegree)
 	perm := rng.Perm(n)
+	walk := p.walk(scale)
 	edges := make([]Edge, 0, m)
 	for i := 0; i < m; i++ {
-		src, dst := 0, 0
-		for bit := 0; bit < scale; bit++ {
-			r := rng.Float64()
-			switch {
-			case r < p.A:
-				// top-left quadrant: no bits set
-			case r < p.A+p.B:
-				dst |= 1 << bit
-			case r < p.A+p.B+p.C:
-				src |= 1 << bit
-			default:
-				src |= 1 << bit
-				dst |= 1 << bit
-			}
-		}
+		src, dst := walk.draw(rng)
 		edges = append(edges, Edge{
 			Src:    VertexID(perm[src]),
 			Dst:    VertexID(perm[dst]),
@@ -119,22 +142,10 @@ func GenRMATN(name string, numVertices int, avgDegree float64, p RMATParams, max
 	rng := rand.New(rand.NewSource(seed))
 	m := int(float64(numVertices) * avgDegree)
 	perm := rng.Perm(numVertices)
+	walk := p.walk(scale)
 	edges := make([]Edge, 0, m)
 	for len(edges) < m {
-		src, dst := 0, 0
-		for bit := 0; bit < scale; bit++ {
-			r := rng.Float64()
-			switch {
-			case r < p.A:
-			case r < p.A+p.B:
-				dst |= 1 << bit
-			case r < p.A+p.B+p.C:
-				src |= 1 << bit
-			default:
-				src |= 1 << bit
-				dst |= 1 << bit
-			}
-		}
+		src, dst := walk.draw(rng)
 		if src >= numVertices || dst >= numVertices {
 			continue
 		}

@@ -289,7 +289,7 @@ func (pc *PartitionedCSR) readSlab(off, length uint64, wantCRC uint32, pi int, w
 	slab := make([]byte, length)
 	const chunk = 1 << 20
 	for done := uint64(0); done < length; {
-		n := min64(int64(length-done), chunk)
+		n := min(int64(length-done), chunk)
 		if _, err := pc.f.ReadAt(slab[done:done+uint64(n)], int64(off+done)); err != nil {
 			return nil, fmt.Errorf("%w: partition %d %s slab truncated: %w", ErrCorrupt, pi, what, err)
 		}

@@ -121,10 +121,9 @@ type RMATStream struct {
 	name        string
 	numVertices int
 	numEdges    int64
-	p           RMATParams
+	walk        rmatWalk
 	maxWeight   uint32
 	seed        int64
-	scale       int
 	mix         vertexMix
 
 	rng     *rand.Rand
@@ -146,10 +145,9 @@ func NewRMATStream(name string, numVertices int, avgDegree float64, p RMATParams
 		name:        name,
 		numVertices: numVertices,
 		numEdges:    int64(float64(numVertices) * avgDegree),
-		p:           p,
+		walk:        p.walk(scale),
 		maxWeight:   maxWeight,
 		seed:        seed,
-		scale:       scale,
 		mix:         newVertexMix(scale, seed),
 	}
 	s.Reset()
@@ -177,21 +175,7 @@ func (s *RMATStream) Next() (Edge, bool) {
 		return Edge{}, false
 	}
 	for {
-		src, dst := 0, 0
-		for bit := 0; bit < s.scale; bit++ {
-			r := s.rng.Float64()
-			switch {
-			case r < s.p.A:
-				// top-left quadrant: no bits set
-			case r < s.p.A+s.p.B:
-				dst |= 1 << bit
-			case r < s.p.A+s.p.B+s.p.C:
-				src |= 1 << bit
-			default:
-				src |= 1 << bit
-				dst |= 1 << bit
-			}
-		}
+		src, dst := s.walk.draw(s.rng)
 		ss := s.mix.apply(uint64(src))
 		dd := s.mix.apply(uint64(dst))
 		if ss >= uint64(s.numVertices) || dd >= uint64(s.numVertices) {

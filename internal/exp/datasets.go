@@ -129,71 +129,110 @@ func (d *Dataset) Transpose() *graph.CSR {
 	return d.tr
 }
 
+// datasetEntry is one registry slot; its graph is built on first use.
+type datasetEntry struct {
+	name   string
+	slices int
+	build  func() *graph.CSR
+	once   sync.Once
+	ds     *Dataset
+}
+
+func (e *datasetEntry) get() *Dataset {
+	e.once.Do(func() {
+		g := e.build()
+		e.ds = &Dataset{Name: e.name, Graph: g, Root: g.LargestOutDegreeVertex(), PaperSlices: e.slices}
+	})
+	return e.ds
+}
+
 var (
-	dsMu    sync.Mutex
-	dsCache = map[string][]*Dataset{}
+	regMu      sync.Mutex
+	registries = map[Scale][]*datasetEntry{}
 )
 
-// Datasets returns the five Table III stand-ins at the given scale:
-// road (high-diameter grid), twitter/friendster/host (RMAT power-law with
-// the paper's average degrees) and urand (uniform random).
+// registry returns the scale's registry entries, each built on first use.
+func registry(s Scale) []*datasetEntry {
+	regMu.Lock()
+	defer regMu.Unlock()
+	if r, ok := registries[s]; ok {
+		return r
+	}
+	r := newRegistry(s)
+	registries[s] = r
+	return r
+}
+
+// newRegistry declares the five Table III stand-ins at the given scale
+// without building any of them.
 //
-// The Large tier builds its registry through the streaming generators
+// The Large tier builds its graphs through the streaming generators
 // (graph.FromStream) — the constant-memory path large graphs are expected
 // to take — so the registry doubles as a continuous exercise of that
 // machinery. Its slice counts follow the calibration equation rather than
 // Table III (road rounds down to 2 at divisor 2).
-func Datasets(s Scale) []*Dataset {
-	dsMu.Lock()
-	defer dsMu.Unlock()
-	if ds, ok := dsCache[s.String()]; ok {
-		return ds
-	}
+func newRegistry(s Scale) []*datasetEntry {
 	d := s.divisor()
 	sq := 1
 	for sq*sq < d {
 		sq *= 2
 	}
-	var build []*Dataset
 	if s == Large {
-		build = []*Dataset{
-			{Name: "road", PaperSlices: 2,
-				Graph: graph.FromStream(graph.NewGridStream("road", 340/sq, 272/sq, 0.39, 64, 11))},
-			{Name: "twitter", PaperSlices: 5,
-				Graph: graph.FromStream(graph.NewRMATStream("twitter", 160000/d, 35, graph.DefaultRMAT, 64, 12))},
-			{Name: "friendster", PaperSlices: 8,
-				Graph: graph.FromStream(graph.NewRMATStream("friendster", 252000/d, 27, graph.DefaultRMAT, 64, 13))},
-			{Name: "host", PaperSlices: 13,
-				Graph: graph.FromStream(graph.NewRMATStream("host", 388000/d, 20, graph.DefaultRMAT, 64, 14))},
-			{Name: "urand", PaperSlices: 16,
-				Graph: graph.FromStream(graph.NewUniformStream("urand", 516000/d, 31, 64, 15))},
-		}
-	} else {
-		build = []*Dataset{
-			{Name: "road", PaperSlices: 3,
-				Graph: graph.GenGrid("road", 340/sq, 272/sq, 0.39, 64, 11)},
-			{Name: "twitter", PaperSlices: 5,
-				Graph: graph.GenRMATN("twitter", 160000/d, 35, graph.DefaultRMAT, 64, 12)},
-			{Name: "friendster", PaperSlices: 8,
-				Graph: graph.GenRMATN("friendster", 252000/d, 27, graph.DefaultRMAT, 64, 13)},
-			{Name: "host", PaperSlices: 13,
-				Graph: graph.GenRMATN("host", 388000/d, 20, graph.DefaultRMAT, 64, 14)},
-			{Name: "urand", PaperSlices: 16,
-				Graph: graph.GenUniform("urand", 516000/d, 31, 64, 15)},
+		return []*datasetEntry{
+			{name: "road", slices: 2, build: func() *graph.CSR {
+				return graph.FromStream(graph.NewGridStream("road", 340/sq, 272/sq, 0.39, 64, 11))
+			}},
+			{name: "twitter", slices: 5, build: func() *graph.CSR {
+				return graph.FromStream(graph.NewRMATStream("twitter", 160000/d, 35, graph.DefaultRMAT, 64, 12))
+			}},
+			{name: "friendster", slices: 8, build: func() *graph.CSR {
+				return graph.FromStream(graph.NewRMATStream("friendster", 252000/d, 27, graph.DefaultRMAT, 64, 13))
+			}},
+			{name: "host", slices: 13, build: func() *graph.CSR {
+				return graph.FromStream(graph.NewRMATStream("host", 388000/d, 20, graph.DefaultRMAT, 64, 14))
+			}},
+			{name: "urand", slices: 16, build: func() *graph.CSR {
+				return graph.FromStream(graph.NewUniformStream("urand", 516000/d, 31, 64, 15))
+			}},
 		}
 	}
-	for _, ds := range build {
-		ds.Root = ds.Graph.LargestOutDegreeVertex()
+	return []*datasetEntry{
+		{name: "road", slices: 3, build: func() *graph.CSR {
+			return graph.GenGrid("road", 340/sq, 272/sq, 0.39, 64, 11)
+		}},
+		{name: "twitter", slices: 5, build: func() *graph.CSR {
+			return graph.GenRMATN("twitter", 160000/d, 35, graph.DefaultRMAT, 64, 12)
+		}},
+		{name: "friendster", slices: 8, build: func() *graph.CSR {
+			return graph.GenRMATN("friendster", 252000/d, 27, graph.DefaultRMAT, 64, 13)
+		}},
+		{name: "host", slices: 13, build: func() *graph.CSR {
+			return graph.GenRMATN("host", 388000/d, 20, graph.DefaultRMAT, 64, 14)
+		}},
+		{name: "urand", slices: 16, build: func() *graph.CSR {
+			return graph.GenUniform("urand", 516000/d, 31, 64, 15)
+		}},
 	}
-	dsCache[s.String()] = build
-	return build
 }
 
-// DatasetByName returns one registry entry.
+// Datasets returns the five Table III stand-ins at the given scale, in
+// registry order: road (high-diameter grid), twitter/friendster/host
+// (RMAT power-law with the paper's average degrees) and urand (uniform
+// random). Each graph is built once per process.
+func Datasets(s Scale) []*Dataset {
+	r := registry(s)
+	ds := make([]*Dataset, len(r))
+	for i, e := range r {
+		ds[i] = e.get()
+	}
+	return ds
+}
+
+// DatasetByName returns one registry entry, building only its graph.
 func DatasetByName(s Scale, name string) (*Dataset, error) {
-	for _, d := range Datasets(s) {
-		if d.Name == name {
-			return d, nil
+	for _, e := range registry(s) {
+		if e.name == name {
+			return e.get(), nil
 		}
 	}
 	return nil, fmt.Errorf("exp: unknown dataset %q", name)

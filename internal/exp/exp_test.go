@@ -5,6 +5,7 @@ import (
 	"context"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"nova/internal/harness"
@@ -51,6 +52,70 @@ func TestDatasetsRegistry(t *testing.T) {
 	}
 	if _, err := DatasetByName(Small, "nope"); err == nil {
 		t.Fatal("unknown dataset accepted")
+	}
+}
+
+// freshRegistry swaps in an unbuilt Small registry for the test's
+// duration and returns it.
+func freshRegistry(t *testing.T) []*datasetEntry {
+	regMu.Lock()
+	saved, had := registries[Small]
+	fresh := newRegistry(Small)
+	registries[Small] = fresh
+	regMu.Unlock()
+	t.Cleanup(func() {
+		regMu.Lock()
+		defer regMu.Unlock()
+		if had {
+			registries[Small] = saved
+		} else {
+			delete(registries, Small)
+		}
+	})
+	return fresh
+}
+
+// TestDatasetByNameBuildsOnlyThatGraph checks the registry is lazy: asking
+// for road builds the grid and none of the RMAT or uniform graphs.
+func TestDatasetByNameBuildsOnlyThatGraph(t *testing.T) {
+	fresh := freshRegistry(t)
+	d, err := DatasetByName(Small, "road")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Name != "road" || d.Graph.NumVertices() == 0 {
+		t.Fatalf("got dataset %q with %d vertices", d.Name, d.Graph.NumVertices())
+	}
+	for _, e := range fresh {
+		if built := e.ds != nil; built != (e.name == "road") {
+			t.Errorf("%s: built = %v after DatasetByName(Small, \"road\")", e.name, built)
+		}
+	}
+}
+
+// TestDatasetByNameConcurrent has goroutines race to build the same
+// entries: each graph is built once and every caller gets it.
+func TestDatasetByNameConcurrent(t *testing.T) {
+	freshRegistry(t)
+	names := []string{"road", "urand", "road", "urand", "road", "urand"}
+	got := make([]*Dataset, len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		wg.Add(1)
+		go func(i int, name string) {
+			defer wg.Done()
+			d, err := DatasetByName(Small, name)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = d
+		}(i, name)
+	}
+	wg.Wait()
+	for i := range names {
+		if got[i] == nil || got[i] != got[i%2] {
+			t.Fatalf("caller %d (%s) got %p, caller %d got %p", i, names[i], got[i], i%2, got[i%2])
+		}
 	}
 }
 
