@@ -33,7 +33,9 @@ import (
 	"nova"
 	"nova/graph"
 	"nova/internal/exp"
+	"nova/internal/extmem"
 	"nova/internal/harness"
+	"nova/internal/polygraph"
 	"nova/internal/prof"
 	"nova/internal/stats"
 	"nova/program"
@@ -102,6 +104,14 @@ func main() {
 	em := &nova.ExternalMemory{RAMBytes: *extmemRAM, PartitionEdges: *extmemPartEdges, SSDPreset: *ssdPreset}
 	check(em.Validate())
 	check(checkIgnoredFlags(engines, cfg, em))
+	if *tracePath != "" {
+		switch {
+		case len(engines)*len(workloads) > 1 || *statsOut != "" || engines[0] != "nova":
+			check(fmt.Errorf("-trace records a single nova cell without -stats-out; a sweep over engines %v x workloads %v would silently ignore it", engines, workloads))
+		case singleProgram(workloads[0], 0, *prIters) == nil:
+			check(fmt.Errorf("-trace supports single-phase workloads (bfs/sssp/cc/pr/prdelta)"))
+		}
+	}
 
 	var d *exp.Dataset
 	if *graphFile != "" {
@@ -133,7 +143,7 @@ func main() {
 	// -stats-out routes through the sweep path even for a single cell, so
 	// every cell's dump lands in one merged, engine.workload-prefixed file.
 	if len(engines)*len(workloads) > 1 || *statsOut != "" {
-		runSweep(ctx, scale, d, engines, workloads, acc, em, *prIters, *jobsN, *timeout, *statsOut)
+		runSweep(ctx, scale, d, engines, workloads, acc, em, *prIters, *jobsN, *timeout, *statsOut, *verify)
 		return
 	}
 
@@ -153,66 +163,38 @@ func main() {
 		g.Name, g.NumVertices(), g.NumEdges(), g.AvgDegree())
 
 	switch *engine {
-	case "nova":
+	case "nova", "polygraph", "extmem":
 		if *tracePath != "" {
-			if p := singleProgram(*workload, d, *prIters); p != nil {
-				f, err := os.Create(*tracePath)
-				check(err)
-				rep, err := acc.RunTraced(p, g, f)
-				check(f.Close())
-				check(err)
-				fmt.Printf("trace written to %s\n", *tracePath)
-				fmt.Printf("workload %s: %.3f ms simulated, %d edges traversed\n",
-					*workload, rep.Stats.SimSeconds*1e3, rep.Stats.EdgesTraversed)
-				return
-			}
-			check(fmt.Errorf("-trace supports single-phase workloads (bfs/sssp/cc/pr)"))
+			f, err := os.Create(*tracePath)
+			check(err)
+			rep, err := acc.RunTraced(singleProgram(*workload, d.Root, *prIters), g, f)
+			check(f.Close())
+			check(err)
+			fmt.Printf("trace written to %s\n", *tracePath)
+			fmt.Printf("workload %s: %.3f ms simulated, %d edges traversed\n",
+				*workload, rep.Stats.SimSeconds*1e3, rep.Stats.EdgesTraversed)
+			return
 		}
-		out, err := nova.RunWorkloadContext(ctx, acc, *workload, g, gT, d.Root, *prIters)
-		checkPartial(out, err)
-		printOutcome(out)
-		if *verify && !out.Partial && out.Props != nil && (*workload == "bfs" || *workload == "sssp" || *workload == "cc") {
-			check(nova.Verify(*workload, g, d.Root, out.Props))
+		eng, err := buildEngine(*engine, scale, acc, em)
+		check(err)
+		rep, err := eng.RunWorkload(ctx, harness.Workload{Name: *workload, G: g, GT: gT, Root: d.Root, PRIters: *prIters, Tier: scale.String()})
+		if err != nil && (rep == nil || !rep.Partial) {
+			check(err)
+		}
+		if rep.Dump != nil && !rep.Partial { // two-phase bc has no dump
+			printBreakdown(rep)
+		}
+		printOutcome(rep)
+		// A polygraph single cell prints no oracle line, so its stdout
+		// stays byte-identical to earlier releases for scripts that parse
+		// it; its sweep cells, and so every -stats-out run, are verified.
+		if *engine != "polygraph" && *verify && !rep.Partial && rep.Props != nil && verifiable(*workload) {
+			check(nova.Verify(*workload, g, d.Root, rep.Props))
 			fmt.Println("verified against sequential oracle: OK")
 		}
-		exitPartial(out)
-	case "polygraph":
-		if *workload == nova.SpillStressWorkload {
-			check(fmt.Errorf("%q is the NOVA spill-stress workload; run it with -engine nova", *workload))
+		if rep.Partial {
+			os.Exit(1)
 		}
-		pg := exp.PGBaseline(scale)
-		out, err := nova.RunWorkloadContext(ctx, pg, *workload, g, gT, d.Root, *prIters)
-		checkPartial(out, err)
-		if p := singleProgram(*workload, d, *prIters); p != nil && !out.Partial {
-			rep, err := pg.Run(p, g)
-			if err == nil {
-				fmt.Printf("slices=%d passes=%d breakdown: proc=%.1f%% switch=%.1f%% ineff=%.1f%%\n",
-					rep.SliceCount, rep.SlicePasses,
-					100*rep.ProcessingSeconds/rep.Stats.SimSeconds,
-					100*rep.SwitchingSeconds/rep.Stats.SimSeconds,
-					100*rep.InefficiencySeconds/rep.Stats.SimSeconds)
-			}
-		}
-		printOutcome(out)
-		exitPartial(out)
-	case "extmem":
-		out, err := nova.RunWorkloadContext(ctx, em, *workload, g, gT, d.Root, *prIters)
-		checkPartial(out, err)
-		if p := singleProgram(*workload, d, *prIters); p != nil && !out.Partial {
-			rep, rerr := em.Run(p, g)
-			if rerr == nil {
-				fmt.Printf("partitions=%d rounds=%d loads=%d paged=%d B io-stall=%.1f%% hit-rate=%.1f%%\n",
-					rep.Partitions, rep.Rounds, rep.PartitionLoads, rep.BytesPaged,
-					100*float64(rep.IOStallCycles)/float64(max64(int64(rep.Cycles), 1)),
-					100*rep.CacheHitRate)
-			}
-		}
-		printOutcome(out)
-		if *verify && !out.Partial && out.Props != nil && (*workload == "bfs" || *workload == "sssp" || *workload == "cc") {
-			check(nova.Verify(*workload, g, d.Root, out.Props))
-			fmt.Println("verified against sequential oracle: OK")
-		}
-		exitPartial(out)
 	case "ligra":
 		sw := &nova.Software{}
 		rep, err := sw.RunWorkloadContext(ctx, *workload, g, gT, d.Root, *prIters)
@@ -230,14 +212,14 @@ func main() {
 	}
 }
 
-// singleProgram rebuilds the one-phase program used for the PolyGraph
-// breakdown line (bc is two-phase and reported only via the outcome).
-func singleProgram(workload string, d *exp.Dataset, prIters int) program.Program {
+// singleProgram builds the one-phase program -trace records, or nil for
+// a workload that has none (bc is two-phase).
+func singleProgram(workload string, root graph.VertexID, prIters int) program.Program {
 	switch workload {
 	case "bfs":
-		return program.NewBFS(d.Root)
+		return program.NewBFS(root)
 	case "sssp":
-		return program.NewSSSP(d.Root)
+		return program.NewSSSP(root)
 	case "cc":
 		return program.NewCC()
 	case "pr":
@@ -249,23 +231,36 @@ func singleProgram(workload string, d *exp.Dataset, prIters int) program.Program
 	}
 }
 
-// checkPartial exits on hard errors but lets salvaged partial outcomes
-// through so they can be rendered before the process reports failure.
-func checkPartial(out *nova.Outcome, err error) {
-	if err != nil && (out == nil || !out.Partial) {
-		check(err)
+// verifiable reports whether nova.Verify has an oracle for workload.
+func verifiable(workload string) bool {
+	return workload == "bfs" || workload == "sssp" || workload == "cc"
+}
+
+// printBreakdown prints the engine's cost breakdown from root records of
+// the cell's stats dump; the nova engine has none.
+func printBreakdown(rep *harness.Report) {
+	root := func(path string) float64 {
+		v, _ := rep.Dump.Value(path)
+		return v
+	}
+	switch rep.Engine {
+	case "polygraph":
+		sim := rep.Stats.SimSeconds
+		fmt.Printf("slices=%d passes=%d breakdown: proc=%.1f%% switch=%.1f%% ineff=%.1f%%\n",
+			int64(root(polygraph.MetricSliceCount)), int64(root(polygraph.MetricSlicePasses)),
+			100*root(polygraph.MetricProcessingSeconds)/sim,
+			100*root(polygraph.MetricSwitchingSeconds)/sim,
+			100*root(polygraph.MetricInefficiencySeconds)/sim)
+	case "extmem":
+		fmt.Printf("partitions=%d rounds=%d loads=%d paged=%d B io-stall=%.1f%% hit-rate=%.1f%%\n",
+			int64(root(extmem.MetricPartitions)), int64(root(extmem.MetricRounds)),
+			int64(root(extmem.MetricPartitionLoads)), int64(root(extmem.MetricBytesPaged)),
+			100*root(extmem.MetricIOStallTicks)/max(root(extmem.MetricCycles), 1),
+			100*root(extmem.MetricCacheHitRate))
 	}
 }
 
-// exitPartial fails the process after a partial outcome has been printed:
-// an interrupted or budget-capped run must not read as a green one.
-func exitPartial(out *nova.Outcome) {
-	if out.Partial {
-		os.Exit(1)
-	}
-}
-
-func printOutcome(out *nova.Outcome) {
+func printOutcome(out *harness.Report) {
 	fmt.Printf("workload %s: %.3f ms simulated, %d edges traversed, %d messages (%.1f%% coalesced)\n",
 		out.Workload, out.Stats.SimSeconds*1e3, out.Stats.EdgesTraversed,
 		out.Stats.MessagesSent,
@@ -386,13 +381,21 @@ func buildEngine(name string, scale exp.Scale, acc *nova.Accelerator, em *nova.E
 
 // runSweep fans the engine×workload grid out over the harness pool and
 // prints one summary line per cell, in grid order, plus the wall-clock
-// cost of the sweep vs its sequential equivalent. Cancelling ctx (Ctrl-C)
-// stops running cells cooperatively; their salvaged partial reports are
-// rendered, flushed to -stats-out marked partial, and fail the process.
-func runSweep(ctx context.Context, scale exp.Scale, d *exp.Dataset, engines, workloads []string, acc *nova.Accelerator, em *nova.ExternalMemory, prIters, jobsN int, timeout time.Duration, statsOut string) {
+// cost of the sweep vs its sequential equivalent. With verify, every
+// complete bfs/sssp/cc cell is checked against the sequential oracle once
+// the pool is done, so cell timings, the sweep's wall time and -timeout
+// cover the simulation alone; a mismatch fails its cell. Cancelling ctx (Ctrl-C) stops running cells
+// cooperatively; their salvaged partial reports are rendered, flushed to
+// -stats-out marked partial, and fail the process.
+func runSweep(ctx context.Context, scale exp.Scale, d *exp.Dataset, engines, workloads []string, acc *nova.Accelerator, em *nova.ExternalMemory, prIters, jobsN int, timeout time.Duration, statsOut string, verify bool) {
 	fmt.Printf("graph %s: %d vertices, %d edges (avg deg %.1f)\n",
 		d.Graph.Name, d.Graph.NumVertices(), d.Graph.NumEdges(), d.Graph.AvgDegree())
 	var jobs []harness.Job[*harness.Report]
+	type cell struct {
+		w string
+		g *graph.CSR
+	}
+	var cells []cell // parallel to jobs, for the oracle
 	for _, en := range engines {
 		eng, err := buildEngine(en, scale, acc, em)
 		check(err)
@@ -407,6 +410,7 @@ func runSweep(ctx context.Context, scale exp.Scale, d *exp.Dataset, engines, wor
 			case w == "bc" || en == "ligra":
 				gT = d.Transpose() // cached across cells by the dataset
 			}
+			cells = append(cells, cell{w, g})
 			jobs = append(jobs, harness.Job[*harness.Report]{
 				Name: fmt.Sprintf("%s/%s", eng.Name(), w),
 				Run: func(ctx context.Context) (*harness.Report, error) {
@@ -423,6 +427,18 @@ func runSweep(ctx context.Context, scale exp.Scale, d *exp.Dataset, engines, wor
 	start := time.Now()
 	results := harness.Map(ctx, pool, jobs)
 	wall := time.Since(start)
+	verified := 0
+	for i, r := range results {
+		rep, c := r.Value, cells[i]
+		if !verify || r.Err != nil || rep == nil || rep.Partial || rep.Props == nil || !verifiable(c.w) {
+			continue
+		}
+		if err := nova.Verify(c.w, c.g, d.Root, rep.Props); err != nil {
+			results[i].Value, results[i].Err = nil, fmt.Errorf("sequential oracle mismatch: %w", err)
+			continue
+		}
+		verified++
+	}
 
 	fmt.Printf("%-10s %-8s %12s %14s %12s %10s\n", "engine", "workload", "time(ms)", "edges", "eff-gteps", "work-eff")
 	failed := 0
@@ -450,6 +466,9 @@ func runSweep(ctx context.Context, scale exp.Scale, d *exp.Dataset, engines, wor
 	}
 	fmt.Fprintf(os.Stderr, "sweep: %d cells in %v wall (%v busy, jobs=%d, shards=%d, %.2fx vs sequential)\n",
 		len(jobs), wall.Round(time.Millisecond), busy.Round(time.Millisecond), jobsN, exp.Shards, speedup)
+	if verify {
+		fmt.Fprintf(os.Stderr, "sweep: %d cells verified against the sequential oracle\n", verified)
+	}
 	if statsOut != "" {
 		check(writeStatsDump(results, d, statsOut, wall))
 	}

@@ -18,11 +18,10 @@ import (
 var ErrCorrupt = errors.New("graph: corrupt csr container")
 
 // Versioned binary CSR container — the on-disk format of the large-graph
-// scale tier. The legacy WriteBinary/ReadBinary stream (io.go) has no
-// version, no checksums and no section structure; this format adds all
-// three so multi-million-edge graphs can be generated once (cmd/graphgen)
-// and loaded repeatedly with integrity guarantees, in constant memory
-// beyond the CSR arrays themselves.
+// scale tier. It is versioned, checksummed and split into sections so
+// multi-million-edge graphs can be generated once (cmd/graphgen) and
+// loaded repeatedly with integrity guarantees, in constant memory beyond
+// the CSR arrays themselves.
 //
 // Layout (all little-endian, sections contiguous and in order):
 //
@@ -417,10 +416,11 @@ func scatterEdges(st EdgeStream, rowPtr []int64, chunk int64, emit func([]byte) 
 	return nil
 }
 
-// ReadCSR deserializes a versioned container from r, verifying the header
-// and section checksums. The payload streams through a fixed-size buffer
-// straight into the CSR arrays — no extra copy of the file and no edge
-// list, so peak memory is the returned graph plus O(1).
+// ReadCSR deserializes a versioned container from r, verifying the header,
+// the partition table and every slab and section checksum. The payload
+// streams through a fixed-size buffer straight into the CSR arrays — no
+// extra copy of the file and no edge list, so peak memory is the returned
+// graph plus O(1).
 func ReadCSR(name string, r io.Reader) (*CSR, error) {
 	hdr := make([]byte, csrFileHeaderSize)
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -430,63 +430,63 @@ func ReadCSR(name string, r io.Reader) (*CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	if info.Partitioned {
-		return readPartitionedCSR(name, r, info, secs)
-	}
-	n, m := info.NumVertices, info.NumEdges
-	g := &CSR{
-		RowPtr: make([]int64, n+1),
-		Dst:    make([]VertexID, m),
-		Weight: make([]uint32, m),
-		Name:   name,
-	}
-	buf := make([]byte, 1<<20)
-
-	crc := uint32(0)
-	prev, idx := int64(0), 0
-	if err := readSection(r, buf, int64(secs[0].length), &crc, func(p []byte) error {
-		for len(p) >= 8 {
-			v := int64(binary.LittleEndian.Uint64(p))
-			if v < prev || v > m {
-				return fmt.Errorf("%w: row pointer %d out of order (%d after %d)", ErrCorrupt, idx, v, prev)
-			}
-			g.RowPtr[idx] = v
-			prev = v
-			idx++
-			p = p[8:]
-		}
-		return nil
-	}); err != nil {
+	parts, err := readPartitions(info, secs, func(table []byte) error {
+		_, err := io.ReadFull(r, table)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	if crc != secs[0].crc {
-		return nil, fmt.Errorf("%w: row-pointer section checksum mismatch", ErrCorrupt)
-	}
-	if g.RowPtr[n] != m {
-		return nil, fmt.Errorf("%w: row pointers end at %d, want %d", ErrCorrupt, g.RowPtr[n], m)
-	}
-
-	crc = 0
-	var ei int64
-	if err := readSection(r, buf, int64(secs[1].length), &crc, func(p []byte) error {
-		for len(p) >= csrEdgeRecBytes {
-			d := binary.LittleEndian.Uint32(p)
-			if int64(d) >= int64(n) {
-				return fmt.Errorf("%w: edge %d: destination %d out of range", ErrCorrupt, ei, d)
+	g := newCSR(name, info)
+	// Section lengths are whole records, so every buffer fill is too.
+	buf := make([]byte, min(1<<20, secs[0].length+secs[1].length))
+	// The slabs follow in file order. A partitioned payload also carries
+	// a CRC of its own, over all of them.
+	payloadCRC := uint32(0)
+	read := func(length uint64, decode func([]byte) error) (uint32, error) {
+		crc := uint32(0)
+		err := readSection(r, buf, int64(length), &crc, func(p []byte) error {
+			if info.Partitioned {
+				payloadCRC = crc32.Update(payloadCRC, crcTable, p)
 			}
-			g.Dst[ei] = VertexID(d)
-			g.Weight[ei] = binary.LittleEndian.Uint32(p[4:])
-			ei++
-			p = p[csrEdgeRecBytes:]
-		}
-		return nil
-	}); err != nil {
-		return nil, err
+			return decode(p)
+		})
+		return crc, err
 	}
-	if crc != secs[1].crc {
-		return nil, fmt.Errorf("%w: edge section checksum mismatch", ErrCorrupt)
+	for pi, pt := range parts {
+		d := newSlabDecoder(pt, pi, info.NumVertices)
+		rows := g.RowPtr[pt.vFirst : pt.vFirst+pt.vCount+1]
+		crc, err := read(pt.rowLen(), func(p []byte) error { return d.rows(rows, p) })
+		if err == nil {
+			err = checkSlab(pi, "row", crc, pt.rowCRC)
+		}
+		if err != nil {
+			return nil, err
+		}
+		dst := g.Dst[pt.edgeBase : pt.edgeBase+pt.edges]
+		wt := g.Weight[pt.edgeBase : pt.edgeBase+pt.edges]
+		crc, err = read(pt.edgeLen(), func(p []byte) error { return d.edges(dst, wt, p) })
+		if err == nil {
+			err = checkSlab(pi, "edge", crc, pt.edgeCRC)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if info.Partitioned && payloadCRC != secs[1].crc {
+		return nil, fmt.Errorf("%w: payload section checksum mismatch", ErrCorrupt)
 	}
 	return g, nil
+}
+
+// newCSR allocates the arrays of the graph info describes.
+func newCSR(name string, info CSRFileInfo) *CSR {
+	return &CSR{
+		RowPtr: make([]int64, info.NumVertices+1),
+		Dst:    make([]VertexID, info.NumEdges),
+		Weight: make([]uint32, info.NumEdges),
+		Name:   name,
+	}
 }
 
 // readSection streams length bytes from r through buf in multiples of the

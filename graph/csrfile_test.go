@@ -360,10 +360,47 @@ func FuzzReadCSR(f *testing.F) {
 	f.Add(partFlip)
 	partTableLen := int(binary.LittleEndian.Uint64(part[24+8:]))
 	f.Add(part[:csrFileHeaderSize+partTableLen+5])
+	// A partitioned container whose first, an interior and last partition
+	// hold no edges: empty edge slabs between row slabs.
+	f.Add(sparsePartitionedContainer(f))
+	// A table whose edge counts sum to |E| only modulo 2^64.
+	f.Add(wrappingPartitionTable(f))
 
+	// Every reader decodes through the same partition list and slab
+	// decoder, so they must agree: an input the stream reader accepts
+	// opens to the identical graph mapped and, when partitioned, paged
+	// through a one-slot cache; an input it rejects the mapped open
+	// rejects as corrupt too. A fuzz process runs its inputs one at a
+	// time, and each closes its mappings, so they share one file,
+	// rewritten in place (recreating it costs more than the readers).
+	path := filepath.Join(f.TempDir(), "fuzz.csr")
+	file, err := os.Create(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { file.Close() })
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, err := file.WriteAt(data, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := file.Truncate(int64(len(data))); err != nil {
+			t.Fatal(err)
+		}
 		g, err := ReadCSR("fuzz", bytes.NewReader(data))
+		mc, merr := OpenCSRFileMapped(path)
+		if merr == nil {
+			defer mc.Close()
+		}
 		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("ReadCSR error not typed ErrCorrupt: %v", err)
+			}
+			if merr == nil {
+				t.Fatalf("ReadCSR rejects (%v), OpenCSRFileMapped accepts", err)
+			}
+			if !errors.Is(merr, ErrCorrupt) {
+				t.Fatalf("OpenCSRFileMapped error not typed ErrCorrupt: %v", merr)
+			}
 			return
 		}
 		n := g.NumVertices()
@@ -384,5 +421,64 @@ func FuzzReadCSR(f *testing.F) {
 				t.Fatalf("Dst[%d]=%d out of range %d", i, d, n)
 			}
 		}
+		if merr != nil {
+			t.Fatalf("ReadCSR accepts, OpenCSRFileMapped rejects: %v", merr)
+		}
+		sameCSR(t, mc.G, g)
+		if !mc.Info.Partitioned {
+			return
+		}
+		pc, err := OpenPartitionedCSR(path, 1)
+		if err != nil {
+			t.Fatalf("ReadCSR accepts, OpenPartitionedCSR rejects: %v", err)
+		}
+		defer pc.Close()
+		paged, err := pc.Materialize()
+		if err != nil {
+			t.Fatalf("ReadCSR accepts, Materialize rejects: %v", err)
+		}
+		sameCSR(t, paged, g)
 	})
+}
+
+// sparsePartitionedContainer builds a partitioned container whose edges
+// sit on a few hubs denser than the 4-edge partition budget, so the
+// partitions between them, the first and the last hold no edges.
+func sparsePartitionedContainer(t testing.TB) []byte {
+	t.Helper()
+	var es []Edge
+	for _, hub := range []struct{ v, deg int }{{5, 6}, {16, 5}, {35, 9}} {
+		for i := 0; i < hub.deg; i++ {
+			es = append(es, Edge{Src: VertexID(hub.v), Dst: VertexID((hub.v*7 + i*3) % 40), Weight: uint32(1 + i)})
+		}
+	}
+	path := filepath.Join(t.TempDir(), "sparse.csr")
+	if _, err := WritePartitionedCSRFile(path, FromEdges("sparse", 40, es), 4); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, secs, err := parseHeader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := readPartitions(info, secs, func(table []byte) error {
+		copy(table, data[secs[0].off:])
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := 0
+	for _, pt := range parts {
+		if pt.edges == 0 {
+			empty++
+		}
+	}
+	if len(parts) < 5 || empty < 3 || parts[0].edges != 0 || parts[len(parts)-1].edges != 0 {
+		t.Fatalf("partitions %+v lack edge-less first, interior and last partitions", parts)
+	}
+	return data
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 )
 
 // Partitioned container layout (header flag bit 0) — the on-disk format of
@@ -35,11 +34,16 @@ import (
 
 const csrPartEntryBytes = 48
 
-// csrPartition is one decoded partition-table entry.
+// csrPartition is one decoded partition-table entry. Readers see every
+// container as a list of them: a flat container is the one partition
+// covering [0, |V|), whose two slabs are its two sections.
 type csrPartition struct {
 	vFirst int
 	vCount int
 	edges  int64
+	// edgeBase is the global index of the partition's first edge, the sum
+	// of the edges of the partitions before it (not stored on disk).
+	edgeBase int64
 	// rowOff / edgeOff are absolute file offsets of the two slabs.
 	rowOff  uint64
 	edgeOff uint64
@@ -88,9 +92,10 @@ func partitionTableBytes(parts []csrPartition) []byte {
 
 // parsePartitionTable validates the raw table section against the header
 // geometry: full coverage of [0, V) by non-empty intervals in order, edge
-// counts summing to E, and slab offsets exactly tiling the payload
-// section. The caller has already verified the section CRC; this guards
-// against a crafted table whose CRC is self-consistent.
+// counts summing to E with no prefix sum above it, and slab offsets
+// exactly tiling the payload section. The caller has already verified the
+// section CRC; this guards against a crafted table whose CRC is
+// self-consistent.
 func parsePartitionTable(buf []byte, info CSRFileInfo, payloadOff uint64) ([]csrPartition, error) {
 	if len(buf) < 8 {
 		return nil, fmt.Errorf("%w: partition table truncated", ErrCorrupt)
@@ -116,9 +121,15 @@ func parsePartitionTable(buf []byte, info CSRFileInfo, payloadOff uint64) ([]csr
 			uint64(pt.vFirst)+uint64(pt.vCount) > uint64(info.NumVertices) {
 			return nil, fmt.Errorf("%w: partition %d interval [%d,+%d) out of order", ErrCorrupt, i, pt.vFirst, pt.vCount)
 		}
+		// Bounding each count by what is left of |E| keeps the running
+		// sums (edges and slab offsets) from wrapping back into range.
+		if uint64(pt.edges) > uint64(info.NumEdges)-nextEdge {
+			return nil, fmt.Errorf("%w: partition %d claims %d edges, %d left", ErrCorrupt, i, pt.edges, uint64(info.NumEdges)-nextEdge)
+		}
 		if pt.rowOff != nextOff || pt.edgeOff != pt.rowOff+pt.rowLen() {
 			return nil, fmt.Errorf("%w: partition %d slab offsets inconsistent", ErrCorrupt, i)
 		}
+		pt.edgeBase = int64(nextEdge)
 		nextV += uint64(pt.vCount)
 		nextEdge += uint64(pt.edges)
 		nextOff = pt.edgeOff + pt.edgeLen()
@@ -129,6 +140,116 @@ func parsePartitionTable(buf []byte, info CSRFileInfo, payloadOff uint64) ([]csr
 			ErrCorrupt, nextV, nextEdge, info.NumVertices, info.NumEdges)
 	}
 	return parts, nil
+}
+
+// readPartitions returns the partition list of the container whose header
+// parsed to info and secs. A flat container is one partition built from
+// its section table; a partitioned one's table is read through readTable,
+// which must fill its argument with section 0, then checked against the
+// section CRC and parsed.
+func readPartitions(info CSRFileInfo, secs [csrFileSections]csrSection, readTable func([]byte) error) ([]csrPartition, error) {
+	if !info.Partitioned {
+		return []csrPartition{{
+			vCount:  info.NumVertices,
+			edges:   info.NumEdges,
+			rowOff:  secs[0].off,
+			edgeOff: secs[1].off,
+			rowCRC:  secs[0].crc,
+			edgeCRC: secs[1].crc,
+		}}, nil
+	}
+	table := make([]byte, secs[0].length)
+	if err := readTable(table); err != nil {
+		return nil, fmt.Errorf("%w: partition table truncated: %w", ErrCorrupt, err)
+	}
+	if got := crc32.Checksum(table, crcTable); got != secs[0].crc {
+		return nil, fmt.Errorf("%w: partition table checksum mismatch", ErrCorrupt)
+	}
+	return parsePartitionTable(table, info, secs[1].off)
+}
+
+// checkSlab reports a slab of partition pi whose CRC32C is not want.
+func checkSlab(pi int, what string, got, want uint32) error {
+	if got != want {
+		return fmt.Errorf("%w: partition %d %s slab checksum mismatch", ErrCorrupt, pi, what)
+	}
+	return nil
+}
+
+// decodeSlabs verifies partition pi's whole row and edge slabs against
+// their CRCs and decodes them into rows (nil to validate only), dst and wt.
+func (pt csrPartition) decodeSlabs(pi, numVertices int, row, edge []byte, rows []int64, dst []VertexID, wt []uint32) error {
+	if err := checkSlab(pi, "row", crc32.Checksum(row, crcTable), pt.rowCRC); err != nil {
+		return err
+	}
+	if err := checkSlab(pi, "edge", crc32.Checksum(edge, crcTable), pt.edgeCRC); err != nil {
+		return err
+	}
+	d := newSlabDecoder(pt, pi, numVertices)
+	if err := d.rows(rows, row); err != nil {
+		return err
+	}
+	return d.edges(dst, wt, edge)
+}
+
+// slabDecoder decodes one partition's row-pointer and edge records and does
+// all their structural validation: the CRCs prove the bytes are the
+// writer's, not that a crafted file is well-formed. Rows must start at the
+// partition's edge base, never decrease, and end exactly at its last edge
+// (so none exceeds |E|); destinations must be below |V|. Both methods take
+// any whole number of records, in order, and write them at the decoder's
+// cursor into a destination sliced to the partition, so a reader can feed
+// a whole slab or a bounded chunk of one.
+type slabDecoder struct {
+	pt   csrPartition
+	pi   int
+	n    int64 // |V|
+	row  int   // row records decoded so far
+	edge int64 // edge records decoded so far
+	prev int64 // last row pointer decoded
+}
+
+func newSlabDecoder(pt csrPartition, pi, numVertices int) *slabDecoder {
+	return &slabDecoder{pt: pt, pi: pi, n: int64(numVertices), prev: pt.edgeBase}
+}
+
+// rows decodes u64 row-pointer records from src into dst, the partition's
+// vCount+1 rows; a nil dst validates without storing (a read-only mapping
+// that already is the row array).
+func (d *slabDecoder) rows(dst []int64, src []byte) error {
+	end := d.pt.edgeBase + d.pt.edges
+	for ; len(src) >= 8; src = src[8:] {
+		v := int64(binary.LittleEndian.Uint64(src))
+		switch {
+		case d.row == 0 && v != d.pt.edgeBase:
+			return fmt.Errorf("%w: partition %d starts at edge %d, want %d", ErrCorrupt, d.pi, v, d.pt.edgeBase)
+		case v < d.prev || v > end:
+			return fmt.Errorf("%w: row pointer %d out of order (%d after %d, partition ends at %d)", ErrCorrupt, d.pt.vFirst+d.row, v, d.prev, end)
+		case d.row == d.pt.vCount && v != end:
+			return fmt.Errorf("%w: partition %d rows end at edge %d, want %d", ErrCorrupt, d.pi, v, end)
+		}
+		if dst != nil {
+			dst[d.row] = v
+		}
+		d.prev = v
+		d.row++
+	}
+	return nil
+}
+
+// edges decodes {dst u32, weight u32} records from src into dst and wt,
+// the partition's edges.
+func (d *slabDecoder) edges(dst []VertexID, wt []uint32, src []byte) error {
+	for ; len(src) >= csrEdgeRecBytes; src = src[csrEdgeRecBytes:] {
+		v := binary.LittleEndian.Uint32(src)
+		if int64(v) >= d.n {
+			return fmt.Errorf("%w: edge %d: destination %d out of range", ErrCorrupt, d.pt.edgeBase+d.edge, v)
+		}
+		dst[d.edge] = VertexID(v)
+		wt[d.edge] = binary.LittleEndian.Uint32(src[4:])
+		d.edge++
+	}
+	return nil
 }
 
 // DefaultPartitionEdges is the partition granularity used when a
@@ -196,10 +317,11 @@ func (pw *partWriter) open(i int) error {
 	lo, hi := pw.bounds[i], pw.bounds[i+1]
 	pt := &pw.parts[i]
 	*pt = csrPartition{
-		vFirst: lo,
-		vCount: hi - lo,
-		edges:  pw.rowPtr[hi] - pw.rowPtr[lo],
-		rowOff: pw.off + pw.sw.n,
+		vFirst:   lo,
+		vCount:   hi - lo,
+		edges:    pw.rowPtr[hi] - pw.rowPtr[lo],
+		edgeBase: pw.rowPtr[lo],
+		rowOff:   pw.off + pw.sw.n,
 	}
 	if err := encodeRowPtrs(pw.rowPtr[lo:hi+1], func(p []byte) error {
 		pt.rowCRC = crc32.Update(pt.rowCRC, crcTable, p)
@@ -242,175 +364,6 @@ func (pw *partWriter) edges(p []byte) error {
 		if err := pw.advance(); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// readPartitionedCSR is the partitioned arm of ReadCSR: it streams the
-// table and every partition slab in file order, verifying the table CRC,
-// each partition's row and edge CRCs, and the whole-payload CRC, while
-// reassembling the flat CSR arrays. The result is byte-for-byte the graph
-// a flat container of the same payload yields.
-func readPartitionedCSR(name string, r io.Reader, info CSRFileInfo, secs [csrFileSections]csrSection) (*CSR, error) {
-	table := make([]byte, secs[0].length)
-	if _, err := io.ReadFull(r, table); err != nil {
-		return nil, fmt.Errorf("%w: partition table truncated: %w", ErrCorrupt, err)
-	}
-	if got := crc32.Checksum(table, crcTable); got != secs[0].crc {
-		return nil, fmt.Errorf("%w: partition table checksum mismatch", ErrCorrupt)
-	}
-	parts, err := parsePartitionTable(table, info, secs[1].off)
-	if err != nil {
-		return nil, err
-	}
-
-	n, m := info.NumVertices, info.NumEdges
-	g := &CSR{
-		RowPtr: make([]int64, n+1),
-		Dst:    make([]VertexID, m),
-		Weight: make([]uint32, m),
-		Name:   name,
-	}
-	buf := make([]byte, 1<<20)
-	payloadCRC := uint32(0)
-	edgeBase := int64(0)
-	for pi, pt := range parts {
-		rowCRC := uint32(0)
-		prev, idx := edgeBase, pt.vFirst
-		first := true
-		if err := readSection(r, buf, int64(pt.rowLen()), &rowCRC, func(p []byte) error {
-			payloadCRC = crc32.Update(payloadCRC, crcTable, p)
-			for len(p) >= 8 {
-				v := int64(binary.LittleEndian.Uint64(p))
-				// The interval's first row pointer must resume exactly
-				// where the previous partition's edges ended — the
-				// duplicated boundary is validated, not trusted.
-				if first && v != edgeBase {
-					return fmt.Errorf("%w: partition %d starts at edge %d, want %d", ErrCorrupt, pi, v, edgeBase)
-				}
-				first = false
-				if v < prev || v > m {
-					return fmt.Errorf("%w: row pointer %d out of order (%d after %d)", ErrCorrupt, idx, v, prev)
-				}
-				g.RowPtr[idx] = v
-				prev = v
-				idx++
-				p = p[8:]
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		if rowCRC != pt.rowCRC {
-			return nil, fmt.Errorf("%w: partition %d row slab checksum mismatch", ErrCorrupt, pi)
-		}
-		if prev != edgeBase+pt.edges {
-			return nil, fmt.Errorf("%w: partition %d rows end at edge %d, table says %d", ErrCorrupt, pi, prev, edgeBase+pt.edges)
-		}
-
-		edgeCRC := uint32(0)
-		ei := edgeBase
-		if err := readSection(r, buf, int64(pt.edgeLen()), &edgeCRC, func(p []byte) error {
-			payloadCRC = crc32.Update(payloadCRC, crcTable, p)
-			for len(p) >= csrEdgeRecBytes {
-				d := binary.LittleEndian.Uint32(p)
-				if int64(d) >= int64(n) {
-					return fmt.Errorf("%w: edge %d: destination %d out of range", ErrCorrupt, ei, d)
-				}
-				g.Dst[ei] = VertexID(d)
-				g.Weight[ei] = binary.LittleEndian.Uint32(p[4:])
-				ei++
-				p = p[csrEdgeRecBytes:]
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		if edgeCRC != pt.edgeCRC {
-			return nil, fmt.Errorf("%w: partition %d edge slab checksum mismatch", ErrCorrupt, pi)
-		}
-		edgeBase += pt.edges
-	}
-	if payloadCRC != secs[1].crc {
-		return nil, fmt.Errorf("%w: payload section checksum mismatch", ErrCorrupt)
-	}
-	return g, nil
-}
-
-// decodePartitionedPayload validates and decodes a fully in-memory
-// partitioned container image (the mmap open path). Identical checks to
-// readPartitionedCSR, against slices instead of a stream.
-func decodePartitionedPayload(name string, data []byte, info CSRFileInfo, secs [csrFileSections]csrSection) (*CSR, error) {
-	end := secs[1].off + secs[1].length
-	if uint64(len(data)) < end {
-		return nil, fmt.Errorf("%w: file truncated at %d bytes, sections end at %d", ErrCorrupt, len(data), end)
-	}
-	table := data[secs[0].off : secs[0].off+secs[0].length]
-	if got := crc32.Checksum(table, crcTable); got != secs[0].crc {
-		return nil, fmt.Errorf("%w: partition table checksum mismatch", ErrCorrupt)
-	}
-	if got := crc32.Checksum(data[secs[1].off:end], crcTable); got != secs[1].crc {
-		return nil, fmt.Errorf("%w: payload section checksum mismatch", ErrCorrupt)
-	}
-	parts, err := parsePartitionTable(table, info, secs[1].off)
-	if err != nil {
-		return nil, err
-	}
-	n, m := info.NumVertices, info.NumEdges
-	g := &CSR{
-		RowPtr: make([]int64, n+1),
-		Dst:    make([]VertexID, m),
-		Weight: make([]uint32, m),
-		Name:   name,
-	}
-	edgeBase := int64(0)
-	for pi, pt := range parts {
-		row := data[pt.rowOff : pt.rowOff+pt.rowLen()]
-		edge := data[pt.edgeOff : pt.edgeOff+pt.edgeLen()]
-		if got := crc32.Checksum(row, crcTable); got != pt.rowCRC {
-			return nil, fmt.Errorf("%w: partition %d row slab checksum mismatch", ErrCorrupt, pi)
-		}
-		if got := crc32.Checksum(edge, crcTable); got != pt.edgeCRC {
-			return nil, fmt.Errorf("%w: partition %d edge slab checksum mismatch", ErrCorrupt, pi)
-		}
-		if err := decodePartitionSlabs(g, pt, pi, edgeBase, row, edge); err != nil {
-			return nil, err
-		}
-		edgeBase += pt.edges
-	}
-	return g, nil
-}
-
-// decodePartitionSlabs decodes one partition's verified row and edge slabs
-// into the flat arrays at their global positions, revalidating the row
-// pointers (monotone, resuming at edgeBase, ending at edgeBase+edges) and
-// edge destinations — the CRCs prove the bytes are the writer's, not that
-// a crafted file is well-formed.
-func decodePartitionSlabs(g *CSR, pt csrPartition, pi int, edgeBase int64, row, edge []byte) error {
-	n := int64(g.NumVertices())
-	m := int64(len(g.Dst))
-	prev := edgeBase
-	for i := 0; i <= pt.vCount; i++ {
-		v := int64(binary.LittleEndian.Uint64(row[i*8:]))
-		if i == 0 && v != edgeBase {
-			return fmt.Errorf("%w: partition %d starts at edge %d, want %d", ErrCorrupt, pi, v, edgeBase)
-		}
-		if v < prev || v > m {
-			return fmt.Errorf("%w: row pointer %d out of order (%d after %d)", ErrCorrupt, pt.vFirst+i, v, prev)
-		}
-		g.RowPtr[pt.vFirst+i] = v
-		prev = v
-	}
-	if prev != edgeBase+pt.edges {
-		return fmt.Errorf("%w: partition %d rows end at edge %d, table says %d", ErrCorrupt, pi, prev, edgeBase+pt.edges)
-	}
-	for i := int64(0); i < pt.edges; i++ {
-		d := binary.LittleEndian.Uint32(edge[i*csrEdgeRecBytes:])
-		if int64(d) >= n {
-			return fmt.Errorf("%w: edge %d: destination %d out of range", ErrCorrupt, edgeBase+i, d)
-		}
-		g.Dst[edgeBase+i] = VertexID(d)
-		g.Weight[edgeBase+i] = binary.LittleEndian.Uint32(edge[i*csrEdgeRecBytes+4:])
 	}
 	return nil
 }

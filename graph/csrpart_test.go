@@ -27,6 +27,74 @@ func validPartitionedContainer(t testing.TB) []byte {
 	return data
 }
 
+// wrappingPartitionTable crafts a partitioned container whose table edge
+// counts sum to |E| only modulo 2^64: the first two partitions claim
+// 2^63-1 edges each, the third the rest plus 2. Slab offsets tile the
+// payload under the same wrap, the first row slab ends at edge 2^63-1,
+// and every CRC is resealed, so only the edge-count bound rejects it.
+func wrappingPartitionTable(t testing.TB) []byte {
+	t.Helper()
+	b := validPartitionedContainer(t)
+	info, secs, err := parseHeader(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.NumPartitions < 3 {
+		t.Fatalf("need 3 partitions, have %d", info.NumPartitions)
+	}
+	table := b[secs[0].off : secs[0].off+secs[0].length]
+	entry := func(i int) []byte { return table[8+i*csrPartEntryBytes:] }
+	const huge = 1<<63 - 1
+	carry := uint64(2)
+	for i := 0; i < 2; i++ {
+		carry += binary.LittleEndian.Uint64(entry(i)[16:])
+		binary.LittleEndian.PutUint64(entry(i)[16:], huge)
+	}
+	binary.LittleEndian.PutUint64(entry(2)[16:], binary.LittleEndian.Uint64(entry(2)[16:])+carry)
+	off := secs[1].off
+	for i := 0; i < info.NumPartitions; i++ {
+		e := entry(i)
+		rowLen := (binary.LittleEndian.Uint64(e[8:]) + 1) * 8
+		binary.LittleEndian.PutUint64(e[24:], off)
+		binary.LittleEndian.PutUint64(e[32:], off+rowLen)
+		off += rowLen + binary.LittleEndian.Uint64(e[16:])*csrEdgeRecBytes
+	}
+	row0 := entry(0)
+	rowLen0 := (binary.LittleEndian.Uint64(row0[8:]) + 1) * 8
+	slab := b[secs[1].off : secs[1].off+rowLen0]
+	binary.LittleEndian.PutUint64(slab[len(slab)-8:], huge)
+	binary.LittleEndian.PutUint32(row0[40:], crc32Checksum(slab))
+	binary.LittleEndian.PutUint32(b[24+16:], crc32Checksum(table))
+	resealHeader(b)
+	return b
+}
+
+// TestPartitionEdgeCountsCannotWrap pins every reader to ErrCorrupt on a
+// table whose edge counts overflow their sum back to |E|.
+func TestPartitionEdgeCountsCannotWrap(t *testing.T) {
+	data := wrappingPartitionTable(t)
+	path := filepath.Join(t.TempDir(), "wrap.csr")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadCSR("t", bytes.NewReader(data))
+	if !errors.Is(err, ErrCorrupt) {
+		t.Errorf("ReadCSR: want ErrCorrupt, got %v", err)
+	}
+	if mc, err := OpenCSRFileMapped(path); !errors.Is(err, ErrCorrupt) {
+		if err == nil {
+			mc.Close()
+		}
+		t.Errorf("OpenCSRFileMapped: want ErrCorrupt, got %v", err)
+	}
+	if pc, err := OpenPartitionedCSR(path, 1); !errors.Is(err, ErrCorrupt) {
+		if err == nil {
+			pc.Close()
+		}
+		t.Errorf("OpenPartitionedCSR: want ErrCorrupt, got %v", err)
+	}
+}
+
 func TestPartitionedCSRFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(7))

@@ -70,68 +70,55 @@ func OpenCSRFileMapped(path string) (m *MappedCSR, err error) {
 	if err != nil {
 		return nil, err
 	}
-	if info.Partitioned {
-		// Partitioned payloads cannot alias the mapping — the row
-		// pointers are split into per-interval slabs with duplicated
-		// boundaries — so the graph is decoded into private slices and
-		// the mapping released immediately. The result reports
-		// Mapped() == false: it is a heap copy, exactly like the
-		// non-unix fallback, and operators can tell (service /graphs).
-		g, derr := decodePartitionedPayload(path, data, info, secs)
-		if derr != nil {
-			return nil, derr
-		}
-		if uerr := unmap(data); uerr != nil {
-			return nil, uerr
-		}
-		return &MappedCSR{G: g, Info: info}, nil
-	}
 	end := secs[1].off + secs[1].length
 	if uint64(len(data)) < end {
 		return nil, fmt.Errorf("%w: file truncated at %d bytes, sections end at %d", ErrCorrupt, len(data), end)
 	}
-	row := data[secs[0].off : secs[0].off+secs[0].length]
-	edge := data[secs[1].off : secs[1].off+secs[1].length]
-	if got := crc32.Checksum(row, crcTable); got != secs[0].crc {
-		return nil, fmt.Errorf("%w: row-pointer section checksum mismatch", ErrCorrupt)
+	if info.Partitioned {
+		if got := crc32.Checksum(data[secs[1].off:end], crcTable); got != secs[1].crc {
+			return nil, fmt.Errorf("%w: payload section checksum mismatch", ErrCorrupt)
+		}
 	}
-	if got := crc32.Checksum(edge, crcTable); got != secs[1].crc {
-		return nil, fmt.Errorf("%w: edge section checksum mismatch", ErrCorrupt)
+	parts, err := readPartitions(info, secs, func(table []byte) error {
+		copy(table, data[secs[0].off:])
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	n, nEdges := info.NumVertices, info.NumEdges
+	// A flat container's row section is exactly the in-memory []int64 on
+	// little-endian hosts, so RowPtr aliases the mapping and its records
+	// are only validated. Partitioned row slabs duplicate their interval
+	// boundaries, so they cannot be aliased.
+	aliased := !info.Partitioned && hostIsLittleEndian()
 	g := &CSR{Name: path}
-	aliased := false
-	if hostIsLittleEndian() && len(row) > 0 {
-		g.RowPtr = unsafe.Slice((*int64)(unsafe.Pointer(&row[0])), n+1)
-		aliased = true
+	if aliased {
+		g.RowPtr = unsafe.Slice((*int64)(unsafe.Pointer(&data[secs[0].off])), info.NumVertices+1)
+		g.Dst = make([]VertexID, info.NumEdges)
+		g.Weight = make([]uint32, info.NumEdges)
 	} else {
-		g.RowPtr = make([]int64, n+1)
-		for i := range g.RowPtr {
-			g.RowPtr[i] = int64(binary.LittleEndian.Uint64(row[i*8:]))
+		g = newCSR(path, info)
+	}
+	for pi, pt := range parts {
+		var rows []int64
+		if !aliased {
+			rows = g.RowPtr[pt.vFirst : pt.vFirst+pt.vCount+1]
+		}
+		e0, e1 := pt.edgeBase, pt.edgeBase+pt.edges
+		if err := pt.decodeSlabs(pi, info.NumVertices, data[pt.rowOff:pt.rowOff+pt.rowLen()],
+			data[pt.edgeOff:pt.edgeOff+pt.edgeLen()], rows, g.Dst[e0:e1], g.Weight[e0:e1]); err != nil {
+			return nil, err
 		}
 	}
-	// Monotonicity still needs checking — the section CRC proves the
-	// bytes are the writer's, not that a crafted file is well-formed.
-	prev := int64(0)
-	for i, v := range g.RowPtr {
-		if v < prev || v > nEdges {
-			return nil, fmt.Errorf("%w: row pointer %d out of order (%d after %d)", ErrCorrupt, i, v, prev)
+	if info.Partitioned {
+		// The graph is a heap copy, so the mapping goes now. The result
+		// reports Mapped() == false, exactly like the non-unix fallback,
+		// and operators can tell (service /graphs).
+		if err := unmap(data); err != nil {
+			return nil, err
 		}
-		prev = v
-	}
-	if g.RowPtr[n] != nEdges {
-		return nil, fmt.Errorf("%w: row pointers end at %d, want %d", ErrCorrupt, g.RowPtr[n], nEdges)
-	}
-	g.Dst = make([]VertexID, nEdges)
-	g.Weight = make([]uint32, nEdges)
-	for i := int64(0); i < nEdges; i++ {
-		d := binary.LittleEndian.Uint32(edge[i*csrEdgeRecBytes:])
-		if int(d) >= n {
-			return nil, fmt.Errorf("%w: edge %d: destination %d out of range", ErrCorrupt, i, d)
-		}
-		g.Dst[i] = VertexID(d)
-		g.Weight[i] = binary.LittleEndian.Uint32(edge[i*csrEdgeRecBytes+4:])
+		return &MappedCSR{G: g, Info: info}, nil
 	}
 	return &MappedCSR{G: g, Info: info, data: data, aliased: aliased, backed: backed, unmap: unmap}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"unsafe"
 )
 
 func TestOpenCSRFileMappedRoundTrip(t *testing.T) {
@@ -138,5 +139,29 @@ func TestOpenCSRFileMappedRejectsCorruption(t *testing.T) {
 		t.Fatal("truncated file accepted")
 	} else if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncation error %v not typed ErrCorrupt", err)
+	}
+}
+
+// TestOpenCSRFileMappedAliasesFlatRows pins the property only the mapped
+// reader has: on a little-endian host a flat container's RowPtr is the
+// mapping itself, not a decoded copy.
+func TestOpenCSRFileMappedAliasesFlatRows(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.csr")
+	if err := WriteCSRFile(path, GenUniform("a", 200, 4, 8, 2)); err != nil {
+		t.Fatal(err)
+	}
+	m, err := OpenCSRFileMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if !m.Mapped() {
+		t.Skip("no live mapping on this platform")
+	}
+	if !hostIsLittleEndian() {
+		t.Skip("row pointers are decoded on big-endian hosts")
+	}
+	if !m.aliased || &m.G.RowPtr[0] != (*int64)(unsafe.Pointer(&m.data[csrFileHeaderSize])) {
+		t.Fatal("flat RowPtr is a copy, not the mapped row section")
 	}
 }

@@ -1,9 +1,7 @@
 package graph
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sync"
@@ -15,8 +13,8 @@ import (
 // pins it resident; Release unpins it; an LRU drops the least recently
 // used unpinned partition once more than MaxResident are resident. On
 // platforms with mmap the slabs decode straight out of the kernel mapping
-// (the page cache is the read path); elsewhere they stream through
-// explicit chunked ReadAt calls — never a whole-file read.
+// (the page cache is the read path); elsewhere each slab is one ReadAt —
+// never a whole-file read.
 //
 // This is the host-side half of the out-of-core tier: it bounds the
 // process's resident graph memory, while the simulated I/O cost of the
@@ -109,14 +107,10 @@ func OpenPartitionedCSR(path string, maxResident int) (pc *PartitionedCSR, err e
 	if !info.Partitioned {
 		return nil, fmt.Errorf("graph: %s is a flat container; paging needs the partitioned layout (graphgen -partition-edges)", path)
 	}
-	table := make([]byte, secs[0].length)
-	if _, err := f.ReadAt(table, int64(secs[0].off)); err != nil {
-		return nil, fmt.Errorf("%w: partition table truncated: %w", ErrCorrupt, err)
-	}
-	if got := crc32.Checksum(table, crcTable); got != secs[0].crc {
-		return nil, fmt.Errorf("%w: partition table checksum mismatch", ErrCorrupt)
-	}
-	parts, err := parsePartitionTable(table, info, secs[1].off)
+	parts, err := readPartitions(info, secs, func(table []byte) error {
+		_, err := f.ReadAt(table, int64(secs[0].off))
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -248,35 +242,23 @@ func (pc *PartitionedCSR) evictLocked() {
 // loadLocked decodes and verifies partition i from the container.
 func (pc *PartitionedCSR) loadLocked(i int) (*GraphPart, error) {
 	pt := pc.parts[i]
-	edgeBase := pc.edgeBase(i)
+	row, err := pc.slab(pt.rowOff, pt.rowLen(), i, "row")
+	if err != nil {
+		return nil, err
+	}
+	edge, err := pc.slab(pt.edgeOff, pt.edgeLen(), i, "edge")
+	if err != nil {
+		return nil, err
+	}
 	p := &GraphPart{
 		VFirst:   pt.vFirst,
 		VCount:   pt.vCount,
-		EdgeBase: edgeBase,
+		EdgeBase: pt.edgeBase,
 		RowPtr:   make([]int64, pt.vCount+1),
 		Dst:      make([]VertexID, pt.edges),
 		Weight:   make([]uint32, pt.edges),
 	}
-	var row, edge []byte
-	if pc.data != nil {
-		row = pc.data[pt.rowOff : pt.rowOff+pt.rowLen()]
-		edge = pc.data[pt.edgeOff : pt.edgeOff+pt.edgeLen()]
-		if got := crc32.Checksum(row, crcTable); got != pt.rowCRC {
-			return nil, fmt.Errorf("%w: partition %d row slab checksum mismatch", ErrCorrupt, i)
-		}
-		if got := crc32.Checksum(edge, crcTable); got != pt.edgeCRC {
-			return nil, fmt.Errorf("%w: partition %d edge slab checksum mismatch", ErrCorrupt, i)
-		}
-	} else {
-		var err error
-		if row, err = pc.readSlab(pt.rowOff, pt.rowLen(), pt.rowCRC, i, "row"); err != nil {
-			return nil, err
-		}
-		if edge, err = pc.readSlab(pt.edgeOff, pt.edgeLen(), pt.edgeCRC, i, "edge"); err != nil {
-			return nil, err
-		}
-	}
-	if err := decodePartSlabs(p, pt, i, edgeBase, int64(pc.info.NumVertices), pc.info.NumEdges, row, edge); err != nil {
+	if err := pt.decodeSlabs(i, pc.info.NumVertices, row, edge, p.RowPtr, p.Dst, p.Weight); err != nil {
 		return nil, err
 	}
 	pc.stats.Loads++
@@ -284,59 +266,17 @@ func (pc *PartitionedCSR) loadLocked(i int) (*GraphPart, error) {
 	return p, nil
 }
 
-// readSlab reads [off, off+length) in bounded chunks, verifying the CRC.
-func (pc *PartitionedCSR) readSlab(off, length uint64, wantCRC uint32, pi int, what string) ([]byte, error) {
-	slab := make([]byte, length)
-	const chunk = 1 << 20
-	for done := uint64(0); done < length; {
-		n := min(int64(length-done), chunk)
-		if _, err := pc.f.ReadAt(slab[done:done+uint64(n)], int64(off+done)); err != nil {
-			return nil, fmt.Errorf("%w: partition %d %s slab truncated: %w", ErrCorrupt, pi, what, err)
-		}
-		done += uint64(n)
+// slab returns the bytes [off, off+length) of partition pi: a view of the
+// mapping, or one ReadAt into a buffer of exactly that size.
+func (pc *PartitionedCSR) slab(off, length uint64, pi int, what string) ([]byte, error) {
+	if pc.data != nil {
+		return pc.data[off : off+length], nil
 	}
-	if got := crc32.Checksum(slab, crcTable); got != wantCRC {
-		return nil, fmt.Errorf("%w: partition %d %s slab checksum mismatch", ErrCorrupt, pi, what)
+	b := make([]byte, length)
+	if _, err := pc.f.ReadAt(b, int64(off)); err != nil {
+		return nil, fmt.Errorf("%w: partition %d %s slab truncated: %w", ErrCorrupt, pi, what, err)
 	}
-	return slab, nil
-}
-
-// decodePartSlabs decodes verified slabs into a GraphPart with the same
-// structural validation the full readers apply.
-func decodePartSlabs(p *GraphPart, pt csrPartition, pi int, edgeBase, n, m int64, row, edge []byte) error {
-	prev := edgeBase
-	for i := 0; i <= pt.vCount; i++ {
-		v := int64(binary.LittleEndian.Uint64(row[i*8:]))
-		if i == 0 && v != edgeBase {
-			return fmt.Errorf("%w: partition %d starts at edge %d, want %d", ErrCorrupt, pi, v, edgeBase)
-		}
-		if v < prev || v > m {
-			return fmt.Errorf("%w: row pointer %d out of order (%d after %d)", ErrCorrupt, pt.vFirst+i, v, prev)
-		}
-		p.RowPtr[i] = v
-		prev = v
-	}
-	if prev != edgeBase+pt.edges {
-		return fmt.Errorf("%w: partition %d rows end at edge %d, table says %d", ErrCorrupt, pi, prev, edgeBase+pt.edges)
-	}
-	for i := int64(0); i < pt.edges; i++ {
-		d := binary.LittleEndian.Uint32(edge[i*csrEdgeRecBytes:])
-		if d >= uint32(n) {
-			return fmt.Errorf("%w: edge %d: destination %d out of range", ErrCorrupt, edgeBase+i, d)
-		}
-		p.Dst[i] = VertexID(d)
-		p.Weight[i] = binary.LittleEndian.Uint32(edge[i*csrEdgeRecBytes+4:])
-	}
-	return nil
-}
-
-// edgeBase returns the global index of partition i's first edge.
-func (pc *PartitionedCSR) edgeBase(i int) int64 {
-	var base int64
-	for k := 0; k < i; k++ {
-		base += pc.parts[k].edges
-	}
-	return base
+	return b, nil
 }
 
 // Materialize assembles the whole graph by paging every partition through
@@ -344,12 +284,7 @@ func (pc *PartitionedCSR) edgeBase(i int) int64 {
 // same container at every MaxResident setting — paging affects PagedStats,
 // never graph content.
 func (pc *PartitionedCSR) Materialize() (*CSR, error) {
-	g := &CSR{
-		RowPtr: make([]int64, pc.info.NumVertices+1),
-		Dst:    make([]VertexID, pc.info.NumEdges),
-		Weight: make([]uint32, pc.info.NumEdges),
-		Name:   pc.name,
-	}
+	g := newCSR(pc.name, pc.info)
 	for i := range pc.parts {
 		p, err := pc.Acquire(i)
 		if err != nil {
